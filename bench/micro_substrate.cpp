@@ -114,4 +114,37 @@ static void BM_LlcWriteAndFlush(benchmark::State& state) {
 }
 BENCHMARK(BM_LlcWriteAndFlush);
 
+constexpr std::uint64_t k64K = 64 * 1024;
+
+// A kShadow 64 KB payload interior: dirty 1 024 content-free lines,
+// then flush them all.
+static void BM_LlcShadowWriteAndFlush64K(benchmark::State& state) {
+  sim::Simulator s;
+  mem::PmDevice pm(s, "pm", 1 << 20, {170, 90, 6.6e9, 12e9});
+  mem::Llc llc(s, pm, {});
+  sim::SimTime t = 0;
+  for (auto _ : state) {
+    llc.write_shadow(0, k64K);
+    t = llc.clflush(t, 0, k64K);
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k64K));
+}
+BENCHMARK(BM_LlcShadowWriteAndFlush64K);
+
+// A WFlush-style dirtiness probe over a clean 64 KB range while other
+// lines of the cache are dirty.
+static void BM_LlcIsDirtyClean64K(benchmark::State& state) {
+  sim::Simulator s;
+  mem::PmDevice pm(s, "pm", 1 << 20, {170, 90, 6.6e9, 12e9});
+  mem::Llc llc(s, pm, {});
+  llc.write(2 * k64K, std::vector<std::byte>(4096));
+  llc.write_shadow(4 * k64K, k64K);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(llc.is_dirty(k64K, k64K));
+  }
+}
+BENCHMARK(BM_LlcIsDirtyClean64K);
+
 BENCHMARK_MAIN();

@@ -2,7 +2,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +31,12 @@ struct LlcParams {
 /// stale bytes. clflush() writes lines back into the persist domain.
 /// Capacity pressure evicts the oldest dirty line to PM (physically
 /// persisting it, but invisibly to any remote observer).
+///
+/// Dirty state is a set of disjoint, line-aligned dirty extents, each
+/// a run of lines dirtied consecutively in address order; only lines
+/// that received a byte store keep their 64 B of content, in a
+/// per-line side table (DESIGN.md §7.3). Every operation costs O(extents it touches), not
+/// O(lines), unless it moves bytes.
 class Llc {
  public:
   Llc(sim::Simulator& sim, Device& backing, LlcParams params)
@@ -63,54 +69,83 @@ class Llc {
   /// Power failure: dirty lines are lost. Counts the casualties.
   void crash();
 
-  [[nodiscard]] std::size_t dirty_lines() const { return lines_.size(); }
+  [[nodiscard]] std::size_t dirty_lines() const { return dirty_lines_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::uint64_t lines_flushed() const { return lines_flushed_; }
   [[nodiscard]] std::uint64_t lines_lost_to_crash() const { return lines_lost_; }
 
  private:
-  struct Line {
-    std::array<std::byte, kCacheLine> data;  // inline: no per-line heap alloc
-    /// Tag of this line's live FIFO entry (see FifoEntry): flushing a
-    /// line no longer scans the eviction queue, it just orphans the
-    /// entry, and eviction skips entries whose tag no longer matches.
-    std::uint64_t fifo_seq = 0;
-    /// False for lines only ever touched by write_shadow: their
-    /// content is meaningless, so write-back skips the byte copy
-    /// (accounting is unchanged — see Device::poke_shadow).
-    bool has_bytes = true;
+  /// Dirty lines [start, end) that were dirtied consecutively in
+  /// address order: no line of another extent is older than one of
+  /// these and newer than another. The list of extents, oldest first,
+  /// is therefore the eviction FIFO of every dirty line.
+  struct Extent {
+    std::uint64_t start;
+    std::uint64_t end;
+    /// True when every line holds content in `bytes_`; false for lines
+    /// only ever touched by write_shadow, which read as zeros and write
+    /// back content-free (accounting is unchanged — see
+    /// Device::poke_shadow).
+    bool has_bytes;
+    Extent* older = nullptr;  ///< eviction-order neighbours
+    Extent* newer = nullptr;
   };
 
-  /// One eviction-queue entry; stale once the line was flushed (or
-  /// re-dirtied, which re-enqueues it with a fresh seq).
-  struct FifoEntry {
-    std::uint64_t addr;
-    std::uint64_t seq;
-  };
+  using ExtentMap = std::map<std::uint64_t, Extent>;  ///< keyed by end
+  using LineBytes = std::array<std::byte, kCacheLine>;
+  using BytesMap = std::unordered_map<std::uint64_t, LineBytes>;
 
-  using LineMap = std::unordered_map<std::uint64_t, Line>;
+  static constexpr std::size_t kMaxSpareNodes = 4096;
 
-  /// Returns the cached line for `line_addr`, faulting it in from the
-  /// backing device if needed (`fill` — shadow stores skip the fill),
-  /// and marks it dirty.
-  Line& dirty_line(std::uint64_t line_addr, bool fill);
+  static std::uint64_t lines_in(std::uint64_t a, std::uint64_t b) {
+    return (b - a) / kCacheLine;
+  }
 
-  void write_back(std::uint64_t line_addr, const Line& line);
+  /// Shared body of write() and write_shadow(); `src` is null for a
+  /// content-elided store of `len` bytes.
+  void store(std::uint64_t addr, std::uint64_t len, const std::byte* src);
+
+  /// Appends the clean lines [a, b) as the newest dirty lines, growing
+  /// the newest extent when it ends at `a`. `next` is the first extent
+  /// past `b`.
+  void add_lines(ExtentMap::iterator next, std::uint64_t a, std::uint64_t b,
+                 bool has_bytes);
+
+  /// Splits `it` at line address `at` (strictly inside it): returns the
+  /// new extent [start, at); `it` keeps [at, end).
+  ExtentMap::iterator split(ExtentMap::iterator it, std::uint64_t at);
+
+  /// Removes the lines [start, to) of `it` (already written back or
+  /// lost); returns the extent after it.
+  ExtentMap::iterator drop_front(ExtentMap::iterator it, std::uint64_t to);
+
+  /// Writes the lines [e.start, to) back to the backing device and
+  /// releases their bytes.
+  void write_back(const Extent& e, std::uint64_t to);
   void evict_if_needed();
-  /// Drops stale FIFO entries once they dominate the queue, so lazy
-  /// deletion stays O(1) amortized without unbounded growth.
-  void compact_fifo();
-  /// Erases `it` from the line map, stashing the node for reuse so the
-  /// steady-state write->flush cycle performs no map allocations.
-  void erase_line(LineMap::iterator it);
+
+  ExtentMap::iterator insert_extent(ExtentMap::const_iterator hint,
+                                    const Extent& e);
+  /// Links `e` into the eviction order just older than `newer` (or as
+  /// the newest extent when `newer` is null).
+  void link(Extent& e, Extent* newer);
+  void unlink(Extent& e);
+
+  /// Side-table slot for line `la`, uninitialized content. Nodes are
+  /// recycled, so the steady-state write->flush cycle allocates nothing.
+  LineBytes& new_bytes(std::uint64_t la);
+  void release_bytes(BytesMap::iterator it);
 
   sim::Simulator& sim_;
   Device& backing_;
   LlcParams params_;
-  LineMap lines_;
-  std::vector<LineMap::node_type> spare_nodes_;  // recycled map nodes
-  std::deque<FifoEntry> fifo_;  // insertion order for eviction
-  std::uint64_t next_fifo_seq_ = 1;
+  ExtentMap extents_;
+  std::vector<ExtentMap::node_type> spare_extents_;
+  Extent* oldest_ = nullptr;
+  Extent* newest_ = nullptr;
+  BytesMap bytes_;
+  std::vector<BytesMap::node_type> spare_bytes_;
+  std::uint64_t dirty_lines_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t lines_flushed_ = 0;
   std::uint64_t lines_lost_ = 0;

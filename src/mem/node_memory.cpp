@@ -71,11 +71,17 @@ void NodeMemory::write_shadow_seg(std::uint64_t addr, std::uint64_t len,
   } else {
     dram_.poke_shadow(addr - kDramBase, len);
   }
-  trim_shadow(addr, len);
-  shadow_.insert_or_assign(addr, ShadowRange{len, seed, off});
+  const ShadowRange r{len, seed, off};
+  const auto same = shadow_.find(addr);
+  if (same != shadow_.end() && same->second.len == len) {
+    same->second = r;  // exact overwrite of a tracked extent
+    return;
+  }
+  insert_shadow(trim_shadow(addr, len), addr, r);
 }
 
-void NodeMemory::trim_shadow(std::uint64_t addr, std::uint64_t len) {
+NodeMemory::ShadowMap::iterator NodeMemory::trim_shadow(std::uint64_t addr,
+                                                        std::uint64_t len) {
   const std::uint64_t end = addr + len;
   auto it = shadow_.upper_bound(addr);
   if (it != shadow_.begin()) {
@@ -86,21 +92,32 @@ void NodeMemory::trim_shadow(std::uint64_t addr, std::uint64_t len) {
     const std::uint64_t r_start = it->first;
     const ShadowRange r = it->second;
     const std::uint64_t r_end = r_start + r.len;
-    it = shadow_.erase(it);
+    const auto next = std::next(it);
     if (r_start < addr) {
-      // Keep the untouched head of the range.
-      shadow_.insert_or_assign(r_start,
-                               ShadowRange{addr - r_start, r.seed, r.off});
+      it->second.len = addr - r_start;  // keep the untouched head in place
+    } else {
+      auto nh = shadow_.extract(it);
+      if (spare_shadow_.size() < 4096) spare_shadow_.push_back(std::move(nh));
     }
     if (r_end > end) {
-      // Keep the untouched tail (stream offset advances accordingly).
-      it = shadow_
-               .insert_or_assign(end, ShadowRange{r_end - end, r.seed,
-                                                  r.off + (end - r_start)})
-               .first;
-      ++it;
+      // Keep the untouched tail (stream offset advances accordingly);
+      // nothing past it can overlap.
+      return insert_shadow(next, end, ShadowRange{r_end - end, r.seed,
+                                                  r.off + (end - r_start)});
     }
+    it = next;
   }
+  return it;
+}
+
+NodeMemory::ShadowMap::iterator NodeMemory::insert_shadow(
+    ShadowMap::const_iterator hint, std::uint64_t start, const ShadowRange& r) {
+  if (spare_shadow_.empty()) return shadow_.emplace_hint(hint, start, r);
+  auto nh = std::move(spare_shadow_.back());
+  spare_shadow_.pop_back();
+  nh.key() = start;
+  nh.mapped() = r;
+  return shadow_.insert(hint, std::move(nh));
 }
 
 std::uint64_t NodeMemory::write_payload_nofire(std::uint64_t addr,

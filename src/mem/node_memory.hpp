@@ -259,6 +259,8 @@ class NodeMemory {
     std::uint64_t off;
   };
 
+  using ShadowMap = std::map<std::uint64_t, ShadowRange>;
+
   void write_bytes_nofire(std::uint64_t addr, std::span<const std::byte> data,
                           WritePath path, bool ddio);
   /// Lands one shadow extent (timing/accounting like a byte write of
@@ -266,8 +268,13 @@ class NodeMemory {
   void write_shadow_seg(std::uint64_t addr, std::uint64_t len,
                         std::uint64_t seed, std::uint64_t off, WritePath path,
                         bool ddio);
-  /// Removes/clips shadow extents overlapping [addr, addr+len).
-  void trim_shadow(std::uint64_t addr, std::uint64_t len);
+  /// Removes/clips shadow extents overlapping [addr, addr+len); returns
+  /// the first extent at or past addr+len (an insertion hint).
+  ShadowMap::iterator trim_shadow(std::uint64_t addr, std::uint64_t len);
+  /// Inserts a shadow extent at `start` (no extent may overlap it),
+  /// reusing a recycled map node when one is spare.
+  ShadowMap::iterator insert_shadow(ShadowMap::const_iterator hint,
+                                    std::uint64_t start, const ShadowRange& r);
   /// Writes min(p.size(), limit) bytes of `p` at `addr`; returns the
   /// count. Watches are NOT fired (callers fire once over the range).
   std::uint64_t write_payload_nofire(std::uint64_t addr, const PayloadRef& p,
@@ -299,7 +306,10 @@ class NodeMemory {
   PmDevice pm_;
   DramDevice dram_;
   Llc llc_;
-  std::map<std::uint64_t, ShadowRange> shadow_;  ///< kShadow plane
+  ShadowMap shadow_;  ///< kShadow plane
+  /// Recycled shadow-plane nodes: the steady-state payload overwrite
+  /// cycle performs no map allocations.
+  std::vector<ShadowMap::node_type> spare_shadow_;
   std::uint64_t next_watch_ = 1;
   std::vector<Watch> watches_;
   std::vector<std::function<void()>> scratch_cbs_;

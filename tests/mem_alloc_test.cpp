@@ -1,0 +1,97 @@
+// Steady-state allocation pins for the memory substrate (DESIGN.md
+// §7.3): once warm, the LLC's dirty extents, its bytes side table and
+// the shadow content plane recycle their nodes, so the payload
+// write -> flush -> read cycle performs no heap allocation at all.
+// A counting global operator new makes that literally checkable; it
+// lives in its own binary so it cannot perturb other suites.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "mem/llc.hpp"
+#include "mem/node_memory.hpp"
+#include "sim/simulator.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace prdma::mem {
+namespace {
+
+constexpr std::uint64_t kObject = 64 * 1024;
+
+TEST(MemAlloc, ShadowPayloadCycleIsAllocationFree) {
+  sim::Simulator sim;
+  NodeMemoryParams params;
+  params.pm_capacity = 1 << 23;
+  params.dram_capacity = 1 << 20;
+  params.content_mode = ContentMode::kShadow;
+  NodeMemory mem(sim, params);
+
+  // A 64 KB object image as the benchmarks store it: header and commit
+  // bytes around a shadow interior.
+  PayloadRef img = mem.pool().acquire(24);
+  img.buf()->append_bytes(std::vector<std::byte>(16, std::byte{0x5A}));
+  img.buf()->append_shadow(kObject - 24, /*seed=*/7, /*off=*/0);
+  img.buf()->append_bytes(std::vector<std::byte>(8, std::byte{0xC3}));
+
+  // Five object slots at shifting offsets: stores overlap earlier
+  // shadow extents partially, half of them stay dirty until capacity
+  // pressure evicts them, and every store is read back.
+  std::uint64_t read_bytes = 0;
+  const auto cycle = [&](std::uint64_t i) {
+    const std::uint64_t addr = (i % 5) * kObject + (i % 3) * 4096;
+    mem.cpu_write_payload(addr, img);
+    if (i % 2 == 0) (void)mem.clflush(0, addr, kObject);
+    const PayloadRef back = mem.read_payload(addr, kObject);
+    read_bytes += back.size();
+  };
+  for (std::uint64_t i = 0; i < 240; ++i) cycle(i);  // warm-up
+
+  const std::uint64_t evictions0 = mem.llc().evictions();
+  const std::uint64_t before = g_allocs.load();
+  for (std::uint64_t i = 240; i < 1240; ++i) cycle(i);
+  EXPECT_EQ(g_allocs.load() - before, 0u)
+      << "steady-state shadow payload cycle allocated";
+  EXPECT_GT(mem.llc().evictions(), evictions0) << "loop must exercise eviction";
+  EXPECT_EQ(read_bytes, 1240 * kObject);
+}
+
+TEST(MemAlloc, ByteStoreFlushCycleIsAllocationFree) {
+  sim::Simulator sim;
+  PmDevice pm(sim, "pm", 1 << 20, DeviceTiming{170, 90, 6.6e9, 12e9});
+  Llc llc(sim, pm, LlcParams{});
+  const std::vector<std::byte> data(4096 + 40, std::byte{0x11});
+  std::vector<std::byte> out(data.size());
+  const auto cycle = [&](std::uint64_t i) {
+    const std::uint64_t addr = (i % 7) * 8192 + (i % 5) * 24;
+    llc.write(addr, data);
+    llc.read(addr, out);
+    if (i % 3 != 0) (void)llc.clflush(0, addr, data.size());
+  };
+  for (std::uint64_t i = 0; i < 200; ++i) cycle(i);  // warm-up
+
+  const std::uint64_t before = g_allocs.load();
+  for (std::uint64_t i = 200; i < 1200; ++i) cycle(i);
+  EXPECT_EQ(g_allocs.load() - before, 0u)
+      << "steady-state byte store/flush cycle allocated";
+}
+
+}  // namespace
+}  // namespace prdma::mem

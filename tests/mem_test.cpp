@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/buffer_pool.hpp"
@@ -25,6 +28,10 @@ std::vector<std::byte> bytes(std::initializer_list<int> vals) {
   out.reserve(vals.size());
   for (int v : vals) out.push_back(static_cast<std::byte>(v));
   return out;
+}
+
+std::vector<std::byte> as_vector(std::span<const std::byte> s) {
+  return {s.begin(), s.end()};
 }
 
 std::vector<std::byte> pattern(std::size_t n, int seed = 1) {
@@ -191,6 +198,367 @@ TEST_F(LlcFixture, FlushTimingScalesWithLineCount) {
   llc.write(1024, pattern(256));
   const SimTime four = llc.clflush(100000, 1024, 256) - 100000;
   EXPECT_GT(four, one);
+}
+
+// ------------------------------------------- Llc vs per-line reference
+
+/// The per-64 B-line cache model the extent-based Llc replaced, kept as
+/// the reference: one hash entry per dirty line, a FIFO of (line, seq)
+/// entries with lazy deletion for eviction order. Its map-node
+/// recycling and FIFO compaction are left out; neither changed a result.
+class PerLineLlc {
+ public:
+  PerLineLlc(Device& backing, LlcParams params)
+      : backing_(backing), params_(params) {}
+
+  void write(std::uint64_t addr, std::span<const std::byte> data) {
+    std::uint64_t pos = addr;
+    std::size_t consumed = 0;
+    while (consumed < data.size()) {
+      const std::uint64_t la = line_down(pos);
+      const std::uint64_t off = pos - la;
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kCacheLine - off, data.size() - consumed));
+      Line& line = dirty_line(la, /*fill=*/true);
+      std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(consumed), n,
+                  line.data.begin() + static_cast<std::ptrdiff_t>(off));
+      pos += n;
+      consumed += n;
+    }
+  }
+
+  void write_shadow(std::uint64_t addr, std::uint64_t len) {
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + len);
+         la += kCacheLine) {
+      (void)dirty_line(la, /*fill=*/false);
+    }
+  }
+
+  void read(std::uint64_t addr, std::span<std::byte> out) const {
+    backing_.peek(addr, out);
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + out.size());
+         la += kCacheLine) {
+      const auto it = lines_.find(la);
+      if (it == lines_.end()) continue;
+      const std::uint64_t lo = std::max(la, addr);
+      const std::uint64_t hi = std::min(la + kCacheLine, addr + out.size());
+      std::copy_n(it->second.data.begin() + static_cast<std::ptrdiff_t>(lo - la),
+                  hi - lo, out.begin() + static_cast<std::ptrdiff_t>(lo - addr));
+    }
+  }
+
+  bool is_dirty(std::uint64_t addr, std::uint64_t len) const {
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + len);
+         la += kCacheLine) {
+      if (lines_.contains(la)) return true;
+    }
+    return false;
+  }
+
+  SimTime clflush(SimTime start, std::uint64_t addr, std::uint64_t len) {
+    SimTime t = start;
+    std::uint64_t flushed = 0;
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + len);
+         la += kCacheLine) {
+      const auto it = lines_.find(la);
+      if (it == lines_.end()) continue;
+      write_back(la, it->second);
+      lines_.erase(it);
+      t += params_.clflush_per_line;
+      ++flushed;
+    }
+    lines_flushed_ += flushed;
+    if (flushed > 0) {
+      t = std::max(t, backing_.write_complete_at(start, flushed * kCacheLine));
+    }
+    return t + params_.sfence_cost;
+  }
+
+  void crash() {
+    lines_lost_ += lines_.size();
+    lines_.clear();
+    fifo_.clear();
+  }
+
+  std::size_t dirty_lines() const { return lines_.size(); }
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t lines_flushed() const { return lines_flushed_; }
+  std::uint64_t lines_lost_to_crash() const { return lines_lost_; }
+
+ private:
+  struct Line {
+    std::array<std::byte, kCacheLine> data;
+    std::uint64_t fifo_seq = 0;
+    bool has_bytes = true;
+  };
+  struct FifoEntry {
+    std::uint64_t addr;
+    std::uint64_t seq;
+  };
+
+  Line& dirty_line(std::uint64_t la, bool fill) {
+    auto it = lines_.find(la);
+    if (it == lines_.end()) {
+      it = lines_.emplace(la, Line{}).first;
+      if (fill) {
+        backing_.peek(la, it->second.data);
+      } else {
+        it->second.has_bytes = false;
+      }
+      it->second.fifo_seq = next_seq_++;
+      fifo_.push_back(FifoEntry{la, it->second.fifo_seq});
+      evict_if_needed();
+    } else if (fill && !it->second.has_bytes) {
+      it->second.has_bytes = true;
+    }
+    return it->second;
+  }
+
+  void write_back(std::uint64_t la, const Line& line) {
+    if (line.has_bytes) {
+      backing_.poke(la, line.data);
+    } else {
+      backing_.poke_shadow(la, kCacheLine);
+    }
+  }
+
+  void evict_if_needed() {
+    while (lines_.size() > params_.capacity_lines && !fifo_.empty()) {
+      const FifoEntry victim = fifo_.front();
+      fifo_.pop_front();
+      const auto it = lines_.find(victim.addr);
+      if (it == lines_.end() || it->second.fifo_seq != victim.seq) continue;
+      write_back(victim.addr, it->second);
+      lines_.erase(it);
+      ++evictions_;
+    }
+  }
+
+  Device& backing_;
+  LlcParams params_;
+  std::unordered_map<std::uint64_t, Line> lines_;
+  std::deque<FifoEntry> fifo_;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t lines_flushed_ = 0;
+  std::uint64_t lines_lost_ = 0;
+};
+
+/// The extent model and the per-line reference, each over its own PM
+/// device, driven with identical operations.
+struct LlcPair {
+  static constexpr std::uint64_t kPm = 16 * 1024;  // 256 lines
+
+  explicit LlcPair(std::uint64_t capacity_lines)
+      : params{capacity_lines, 10, 250} {}
+
+  Simulator sim;
+  PmDevice pm{sim, "pm", kPm, DeviceTiming{170, 90, 6e9, 2e9}};
+  PmDevice ref_pm{sim, "ref", kPm, DeviceTiming{170, 90, 6e9, 2e9}};
+  LlcParams params;
+  Llc llc{sim, pm, params};
+  PerLineLlc ref{ref_pm, params};
+
+  void write(std::uint64_t addr, std::span<const std::byte> data) {
+    llc.write(addr, data);
+    ref.write(addr, data);
+  }
+  void write_shadow(std::uint64_t addr, std::uint64_t len) {
+    llc.write_shadow(addr, len);
+    ref.write_shadow(addr, len);
+  }
+
+  /// Counters, device accounting and PM content agree.
+  ::testing::AssertionResult same_state() const {
+    const auto differ = [](const char* what, std::uint64_t got,
+                           std::uint64_t want) {
+      return ::testing::AssertionFailure()
+             << what << ": extents " << got << ", per-line " << want;
+    };
+    if (llc.dirty_lines() != ref.dirty_lines()) {
+      return differ("dirty_lines", llc.dirty_lines(), ref.dirty_lines());
+    }
+    if (llc.evictions() != ref.evictions()) {
+      return differ("evictions", llc.evictions(), ref.evictions());
+    }
+    if (llc.lines_flushed() != ref.lines_flushed()) {
+      return differ("lines_flushed", llc.lines_flushed(), ref.lines_flushed());
+    }
+    if (llc.lines_lost_to_crash() != ref.lines_lost_to_crash()) {
+      return differ("lines_lost_to_crash", llc.lines_lost_to_crash(),
+                    ref.lines_lost_to_crash());
+    }
+    if (pm.bytes_written() != ref_pm.bytes_written()) {
+      return differ("bytes_written", pm.bytes_written(), ref_pm.bytes_written());
+    }
+    if (pm.bytes_copied() != ref_pm.bytes_copied()) {
+      return differ("bytes_copied", pm.bytes_copied(), ref_pm.bytes_copied());
+    }
+    const auto a = pm.view(0, kPm);
+    const auto b = ref_pm.view(0, kPm);
+    if (!std::equal(a.begin(), a.end(), b.begin())) {
+      return ::testing::AssertionFailure() << "PM content differs";
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  /// Coherent reads of [addr, addr+len) agree (and stay in step on
+  /// bytes_copied, which the read's PM peek feeds).
+  ::testing::AssertionResult same_read(std::uint64_t addr, std::uint64_t len) {
+    std::vector<std::byte> got(len);
+    std::vector<std::byte> want(len);
+    llc.read(addr, got);
+    ref.read(addr, want);
+    if (got != want) {
+      return ::testing::AssertionFailure()
+             << "read [" << addr << ", +" << len << ") differs";
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+/// splitmix64: a fixed, platform-independent stream for the op mix.
+struct OpRng {
+  std::uint64_t s;
+  std::uint64_t next() {
+    std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+};
+
+TEST(LlcModel, MatchesPerLineReference) {
+  for (const bool shadow : {false, true}) {
+    for (const std::uint64_t capacity : {4u, 7u, 16u, 64u}) {
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << (shadow ? "kShadow" : "kFull") << " capacity="
+                     << capacity << " seed=" << seed);
+        LlcPair p(capacity);
+        OpRng rng{seed * 1000003 + capacity};
+        // Short stores, line-scale stores and stores longer than the
+        // whole cache (which evict lines ahead of themselves).
+        const auto draw_len = [&] {
+          switch (rng.below(3)) {
+            case 0: return rng.below(17);
+            case 1: return rng.below(257);
+            default: return rng.below(capacity * kCacheLine * 3 / 2 + 1);
+          }
+        };
+        const auto draw_addr = [&](std::uint64_t len) {
+          return rng.below(LlcPair::kPm - len + 1);
+        };
+        SimTime now = 0;
+        for (int op = 0; op < 400; ++op) {
+          SCOPED_TRACE(::testing::Message() << "op " << op);
+          const std::uint64_t kind = rng.below(100);
+          const std::uint64_t len = draw_len();
+          const std::uint64_t addr = draw_addr(len);
+          if (kind < 35 || (!shadow && kind < 50)) {
+            std::vector<std::byte> data(len);
+            for (auto& b : data) b = static_cast<std::byte>(rng.next());
+            p.write(addr, data);
+          } else if (kind < 50) {
+            p.write_shadow(addr, len);
+          } else if (kind < 65) {
+            now += rng.below(2000);
+            ASSERT_EQ(p.llc.clflush(now, addr, len),
+                      p.ref.clflush(now, addr, len));
+          } else if (kind < 80) {
+            ASSERT_EQ(p.llc.is_dirty(addr, len), p.ref.is_dirty(addr, len));
+          } else if (kind < 98) {
+            ASSERT_TRUE(p.same_read(addr, len));
+          } else {
+            p.llc.crash();
+            p.ref.crash();
+          }
+          ASSERT_TRUE(p.same_state());
+        }
+        ASSERT_TRUE(p.same_read(0, LlcPair::kPm));
+      }
+    }
+  }
+}
+
+TEST(LlcModel, LongWriteEvictsLineAheadThenRefillsIt) {
+  LlcPair p(4);
+  p.write(5 * kCacheLine, pattern(kCacheLine, 1));  // oldest dirty line
+  // Six lines from 0: the fourth new line evicts line 5 (ahead of the
+  // walk), later lines evict 0 and 1, and line 5 comes back dirty with
+  // a fresh seq and a fresh fill of what its eviction persisted.
+  p.write(0, pattern(6 * kCacheLine, 2));
+  EXPECT_EQ(p.llc.evictions(), 3u);
+  EXPECT_EQ(p.llc.dirty_lines(), 4u);
+  // Fills: line 5 twice, lines 0-4 once; write-backs: three evictions.
+  EXPECT_EQ(p.pm.bytes_copied(), (7u + 3u) * kCacheLine);
+  EXPECT_EQ(as_vector(p.pm.view(5 * kCacheLine, kCacheLine)),
+            pattern(kCacheLine, 1))
+      << "eviction persisted the old line";
+  EXPECT_TRUE(p.same_state());
+  EXPECT_TRUE(p.same_read(0, 6 * kCacheLine));
+  EXPECT_EQ(p.llc.clflush(0, 0, 6 * kCacheLine),
+            p.ref.clflush(0, 0, 6 * kCacheLine));
+  EXPECT_TRUE(p.same_state());
+}
+
+TEST(LlcModel, ShadowLineTakesBytesWithoutFill) {
+  LlcPair p(16);
+  p.pm.poke(0, pattern(kCacheLine, 3));
+  p.ref_pm.poke(0, pattern(kCacheLine, 3));
+  p.write_shadow(0, kCacheLine);
+  const std::uint64_t copied = p.pm.bytes_copied();
+  p.write(8, bytes({0xAA, 0xBB}));
+  EXPECT_EQ(p.pm.bytes_copied(), copied) << "no fill for a shadow line";
+  // The rest of the line is zeros, not PM, and writes back as bytes.
+  auto expect = std::vector<std::byte>(kCacheLine, std::byte{0});
+  expect[8] = std::byte{0xAA};
+  expect[9] = std::byte{0xBB};
+  std::vector<std::byte> out(kCacheLine);
+  p.llc.read(0, out);
+  EXPECT_EQ(out, expect);
+  p.ref.read(0, out);
+  EXPECT_EQ(out, expect);
+  p.llc.clflush(0, 0, kCacheLine);
+  p.ref.clflush(0, 0, kCacheLine);
+  EXPECT_EQ(as_vector(p.pm.view(0, kCacheLine)), expect);
+  EXPECT_TRUE(p.same_state());
+}
+
+TEST(LlcModel, CoherentReadOfShadowLineIsZeros) {
+  LlcPair p(16);
+  p.pm.poke(128, pattern(2 * kCacheLine, 4));
+  p.ref_pm.poke(128, pattern(2 * kCacheLine, 4));
+  p.write_shadow(130, 70);  // dirties lines 128 and 192
+  std::vector<std::byte> out(2 * kCacheLine);
+  p.llc.read(128, out);
+  EXPECT_EQ(out, std::vector<std::byte>(2 * kCacheLine, std::byte{0}));
+  p.ref.read(128, out);
+  EXPECT_TRUE(p.same_read(100, 200));
+  // Content-free write-back: PM keeps its bytes, accounting still moves.
+  const std::uint64_t written = p.pm.bytes_written();
+  p.llc.clflush(0, 128, 2 * kCacheLine);
+  p.ref.clflush(0, 128, 2 * kCacheLine);
+  EXPECT_EQ(p.pm.bytes_written(), written + 2 * kCacheLine);
+  EXPECT_EQ(as_vector(p.pm.view(128, 2 * kCacheLine)),
+            pattern(2 * kCacheLine, 4));
+  EXPECT_TRUE(p.same_state());
+}
+
+TEST(LlcModel, FillsAndWriteBacksFeedBytesCopied) {
+  LlcPair p(16);
+  p.write(70, bytes({1, 2}));  // fill of line 64
+  EXPECT_EQ(p.pm.bytes_copied(), kCacheLine);
+  p.llc.clflush(0, 64, 8);
+  p.ref.clflush(0, 64, 8);
+  EXPECT_EQ(p.pm.bytes_copied(), 2 * kCacheLine) << "bytes write-back";
+  p.write_shadow(4096, 4 * kCacheLine);
+  p.llc.clflush(0, 4096, 4 * kCacheLine);
+  p.ref.clflush(0, 4096, 4 * kCacheLine);
+  EXPECT_EQ(p.pm.bytes_copied(), 2 * kCacheLine) << "shadow lines copy nothing";
+  EXPECT_EQ(p.pm.bytes_written(), 5 * kCacheLine);
+  EXPECT_TRUE(p.same_state());
 }
 
 // ------------------------------------------------------------ NodeMemory
