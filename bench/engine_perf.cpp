@@ -7,9 +7,13 @@
 //     slab/InlineTask engine vs the pre-PR engine, which is kept here
 //     verbatim (std::function per event, events stored inside the heap
 //     array) as LegacyEngine.
-//  2. Steady-state allocations/event of the current engine, from the
-//     instrumented counters (Simulator::pool_allocations and
-//     sim::inline_fn_heap_allocs): expected 0 after warm-up.
+//     Plus a timer-churn cell: the RC retransmit pattern, where every
+//     event arms a far-future timer and cancels the one armed before
+//     it (DESIGN.md §7.1).
+//  2. Steady-state allocations/event of the current engine (pingers
+//     and timer churn), from the instrumented counters
+//     (Simulator::pool_allocations and sim::inline_fn_heap_allocs):
+//     expected 0 after warm-up.
 //  3. A reference micro cell (WFlush-RPC, 1 KB writes): simulated
 //     events replayed per wall-clock second, plus its heap-fallback
 //     count (expected 0).
@@ -173,6 +177,38 @@ double run_pingers(Engine& eng, std::uint64_t total, std::uint64_t pingers) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Timer churn: `lanes` self-rescheduling events, each of which
+/// withdraws its lane's pending far-future timer (the ACK arrived) and
+/// arms a new one (the next packet was posted) — so the heap carries
+/// one live timer per lane plus the dead entries lazy deletion has not
+/// reclaimed yet.
+struct TimerChurn {
+  sim::Simulator& sim;
+  std::uint64_t remaining;
+  std::vector<sim::EventHandle> timers;  ///< one per lane
+};
+
+void churn(TimerChurn& c, std::size_t lane) {
+  if (c.remaining == 0) return;
+  --c.remaining;
+  c.sim.cancel(c.timers[lane]);
+  c.timers[lane] = c.sim.schedule(100 * sim::kMillisecond, [] {});
+  c.sim.schedule((c.remaining % 97) + 1, [&c, lane] { churn(c, lane); });
+}
+
+/// Drives `total` churn events over `lanes` lanes, returns wall seconds.
+double run_timer_churn(sim::Simulator& eng, std::uint64_t total,
+                       std::uint64_t lanes) {
+  TimerChurn c{eng, total, std::vector<sim::EventHandle>(lanes)};
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t lane = 0; lane < lanes && c.remaining > 0; ++lane) {
+    churn(c, lane);
+  }
+  eng.run();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
 double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -210,27 +246,36 @@ int main(int argc, char** argv) {
   LegacyEngine legacy;
   (void)run_pingers(legacy, events / 4, pingers);
 
+  sim::Simulator churn_sim;
+  (void)run_timer_churn(churn_sim, events / 4, pingers);
+
   // Steady state: slots recycle, captures stay inline — both counters
   // must be flat across every measured window. Wall time is the best of
-  // five windows, with the two engines' windows interleaved so a noisy
+  // five windows, with the engines' windows interleaved so a noisy
   // neighbour or frequency drift hits both alike; min is the standard
   // estimator for a deterministic workload.
   constexpr int kWindows = 5;
-  const std::uint64_t pool0 = fresh.pool_allocations();
+  const std::uint64_t pool0 =
+      fresh.pool_allocations() + churn_sim.pool_allocations();
   const std::uint64_t heap0 = sim::inline_fn_heap_allocs();
   double new_secs = 1e300;
   double legacy_secs = 1e300;
+  double churn_secs = 1e300;
   for (int r = 0; r < kWindows; ++r) {
     new_secs = std::min(new_secs, run_pingers(fresh, events, pingers));
     legacy_secs = std::min(legacy_secs, run_pingers(legacy, events, pingers));
+    churn_secs =
+        std::min(churn_secs, run_timer_churn(churn_sim, events, pingers));
   }
-  const std::uint64_t steady_allocs = (fresh.pool_allocations() - pool0) +
-                                      (sim::inline_fn_heap_allocs() - heap0);
+  const std::uint64_t steady_allocs =
+      (fresh.pool_allocations() + churn_sim.pool_allocations() - pool0) +
+      (sim::inline_fn_heap_allocs() - heap0);
 
   const double new_eps = static_cast<double>(events) / new_secs;
   const double legacy_eps = static_cast<double>(events) / legacy_secs;
+  const double churn_eps = static_cast<double>(events) / churn_secs;
   const double allocs_per_event = static_cast<double>(steady_allocs) /
-                                  static_cast<double>(kWindows * events);
+                                  static_cast<double>(2 * kWindows * events);
 
   bench::TablePrinter engine({"Engine", "events/sec", "allocs/event"});
   engine.add_row({"slab+InlineTask (this PR)",
@@ -239,6 +284,9 @@ int main(int argc, char** argv) {
   engine.add_row({"std::function heap (pre-PR)",
                   bench::TablePrinter::num(legacy_eps / 1e6, 2) + "M",
                   ">= 1 (by construction)"});
+  engine.add_row({"timer churn (cancel per event)",
+                  bench::TablePrinter::num(churn_eps / 1e6, 2) + "M",
+                  bench::TablePrinter::num(allocs_per_event, 6)});
   engine.print();
   std::printf("speedup vs legacy: %.2fx\n\n", new_eps / legacy_eps);
 
@@ -576,6 +624,7 @@ int main(int argc, char** argv) {
       .set("events_per_sec", bench::Json::num(new_eps))
       .set("events_per_sec_legacy", bench::Json::num(legacy_eps))
       .set("speedup_vs_legacy", bench::Json::num(new_eps / legacy_eps))
+      .set("timer_churn_events_per_sec", bench::Json::num(churn_eps))
       .set("steady_state_allocs_per_event", bench::Json::num(allocs_per_event))
       .set("micro_cell_events", bench::Json::num(mres.sim_events))
       .set("micro_cell_events_per_sec", bench::Json::num(micro_eps))

@@ -7,6 +7,7 @@
 
 #include "net/packet.hpp"
 #include "rnic/completion.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace prdma::rnic {
@@ -47,6 +48,9 @@ struct Qp {
     /// window (go-back-N counts retries of the head; a packet's budget
     /// restarts when it becomes the head).
     int attempts = 0;
+    /// The WR's pending retransmission timer; cancelled whenever the
+    /// WR leaves `unacked`.
+    sim::EventHandle timer;
   };
   std::map<std::uint64_t, PendingWr> unacked;  // seq -> wr
   /// Retry budget exhausted: the QP took the bounded-retry -> error

@@ -198,7 +198,7 @@ sim::SimTime Rnic::transmit_data(Packet p) {
     auto& pending = qp->unacked[p.seq];
     pending.packet = p;
     pending.attempts = 1;
-    arm_retransmit(qp->qpn, p.seq);
+    pending.timer = arm_retransmit(qp->qpn, p.seq, params_.retransmit_interval);
   }
 
   const std::uint64_t epoch = epoch_;
@@ -241,15 +241,6 @@ void Rnic::transmit_control(Packet p) {
   });
 }
 
-void Rnic::arm_retransmit(std::uint32_t qpn, std::uint64_t seq) {
-  // One timer per posted packet, armed at the base interval: on a
-  // lossless fabric the packet is long ACKed when it fires (one no-op
-  // event, identical to the historical model, so clean runs stay
-  // bit-exact). Go-back-N, backoff and escalation only engage when a
-  // fired timer finds its sequence still unacknowledged.
-  arm_retransmit_after(qpn, seq, params_.retransmit_interval);
-}
-
 sim::SimTime Rnic::backoff_delay(int timeouts) const {
   double d = static_cast<double>(params_.retransmit_interval);
   const double cap = static_cast<double>(
@@ -273,23 +264,36 @@ void Rnic::fail_qp(Qp& qp) {
     }
     head = false;
   }
+  clear_unacked(qp);
+}
+
+void Rnic::clear_unacked(Qp& qp) {
+  for (auto& [seq, wr] : qp.unacked) sim_.cancel(wr.timer);
   qp.unacked.clear();
 }
 
-void Rnic::arm_retransmit_after(std::uint32_t qpn, std::uint64_t seq,
-                                sim::SimTime delay) {
-  const std::uint64_t epoch = epoch_;
-  sim_.schedule(delay, [this, epoch, qpn, seq] {
-    if (epoch != epoch_ || !alive_) return;
+sim::EventHandle Rnic::arm_retransmit(std::uint32_t qpn, std::uint64_t seq,
+                                      sim::SimTime delay) {
+  // One timer per pending RC packet, armed at the base interval when it
+  // is posted. Every path that takes a WR out of the unacked window
+  // (ACK, NAK, retry exhaustion, crash, teardown) cancels its timer, so
+  // on a clean fabric no timer ever fires: it leaves the event heap
+  // with its ACK. A timer that does fire finds its WR still pending.
+  return sim_.schedule(delay, [this, qpn, seq] {
     Qp* qp = find_qp(qpn);
-    if (qp == nullptr || qp->in_error) return;
+    assert(alive_ && qp != nullptr);
+    // An errored QP never retransmits. Its window is normally empty,
+    // but a smartnic_rflush notify (maybe_auto_persist) can still be
+    // posted on it and park here until its ACK arrives.
+    if (qp->in_error) return;
     const auto it = qp->unacked.find(seq);
-    if (it == qp->unacked.end()) return;  // ACKed in the meantime
+    assert(it != qp->unacked.end());
     if (it != qp->unacked.begin()) {
       // Not the head of the unacked window. The head's timer drives
       // go-back-N (which replays this packet too); keep watching at
       // the base cadence until this packet is ACKed or becomes head.
-      arm_retransmit_after(qpn, seq, params_.retransmit_interval);
+      it->second.timer =
+          arm_retransmit(qpn, seq, params_.retransmit_interval);
       return;
     }
     if (it->second.attempts > params_.max_retransmits) {
@@ -309,13 +313,15 @@ void Rnic::arm_retransmit_after(std::uint32_t qpn, std::uint64_t seq,
       }
       fabric_.send(wr.packet);
     }
-    arm_retransmit_after(qpn, seq, backoff_delay(it->second.attempts - 1));
+    it->second.timer =
+        arm_retransmit(qpn, seq, backoff_delay(it->second.attempts - 1));
   });
 }
 
 void Rnic::complete_send_wr(Qp& qp, std::uint64_t seq, const Packet& ack) {
   const auto it = qp.unacked.find(seq);
   if (it == qp.unacked.end()) return;  // duplicate ACK
+  sim_.cancel(it->second.timer);
   const Packet& orig = it->second.packet;
 
   if (ack.op == WireOp::kNak) {
@@ -891,8 +897,10 @@ void Rnic::maybe_auto_persist(std::uint64_t addr, std::uint64_t len) {
       // the RC ACK for it resolves silently via handle_ack. The notify
       // is RC traffic like any other — it arms a retransmission timer,
       // or a lost notify would stall the sender's persist wait forever.
-      qp->unacked[n.seq] = Qp::PendingWr{n, 1};
-      arm_retransmit(qp->qpn, n.seq);
+      Qp::PendingWr& wr = qp->unacked[n.seq];
+      wr.packet = n;
+      wr.attempts = 1;
+      wr.timer = arm_retransmit(qp->qpn, n.seq, params_.retransmit_interval);
       transmit_control(n);
     });
   }
@@ -946,7 +954,7 @@ void Rnic::crash() {
       wc.qpn = qpn;
       qp->send_cq->push(wc);
     }
-    qp->unacked.clear();
+    clear_unacked(*qp);
   }
 }
 

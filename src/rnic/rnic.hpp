@@ -145,7 +145,7 @@ class Rnic {
   /// while all pools are still alive.
   void release_packet_buffers() {
     for (auto& [qpn, qp] : qps_) {
-      qp->unacked.clear();
+      clear_unacked(*qp);
       qp->ooo.clear();
       qp->rnr_queue.clear();
     }
@@ -202,9 +202,13 @@ class Rnic {
   sim::SimTime transmit_data(net::Packet p);
   /// RNIC-generated control packet (ACK, flush-ACK, read response).
   void transmit_control(net::Packet p);
-  void arm_retransmit(std::uint32_t qpn, std::uint64_t seq);
-  void arm_retransmit_after(std::uint32_t qpn, std::uint64_t seq,
-                            sim::SimTime delay);
+  /// Schedules the retransmission timer of pending WR `seq` on `qpn`
+  /// after `delay`; the caller stores the handle in its PendingWr.
+  [[nodiscard]] sim::EventHandle arm_retransmit(std::uint32_t qpn,
+                                                std::uint64_t seq,
+                                                sim::SimTime delay);
+  /// Empties the unacked window, cancelling every WR's timer.
+  void clear_unacked(Qp& qp);
   /// The rearm delay after `timeouts` consecutive head-of-window
   /// timeout rounds: interval * backoff^timeouts, capped.
   [[nodiscard]] sim::SimTime backoff_delay(int timeouts) const;

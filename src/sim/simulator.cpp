@@ -21,21 +21,61 @@ std::uint32_t Simulator::acquire_slot() {
 
 void Simulator::release_slot(std::uint32_t s) {
   slot(s).fn.reset();
+  slot(s).seq = kNoSeq;
   slot(s).next_free = free_head_;
   free_head_ = s;
 }
 
-void Simulator::schedule_at(SimTime t, InlineTask fn) {
+EventHandle Simulator::schedule_at(SimTime t, InlineTask fn) {
   const std::uint32_t s = acquire_slot();
   slot(s).fn = std::move(fn);
-  push_entry(t, s);
+  return push_entry(t, s);
 }
 
-void Simulator::push_entry(SimTime t, std::uint32_t slot) {
+EventHandle Simulator::push_entry(SimTime t, std::uint32_t slot) {
   if (t < now_) t = now_;  // never schedule into the past
   if (heap_.size() == heap_.capacity()) ++pool_allocs_;
-  heap_.push_back(HeapEntry{t, next_seq_++, slot});
+  const std::uint64_t seq = next_seq_++;
+  this->slot(slot).seq = seq;
+  heap_.push_back(HeapEntry{t, seq, slot});
   sift_up(heap_.size() - 1);
+  return EventHandle{slot, seq};
+}
+
+// Lazy deletion: cancel() frees the slot at once (its seq no longer
+// matches the heap entry, which marks the entry dead) and leaves the
+// entry in place. Dead entries are popped as soon as they reach the
+// top, and filtered out wholesale once they are the majority. Neither
+// touches a live entry's (time, seq) key, so the live pop order is
+// exactly the order without the cancelled events.
+
+void Simulator::cancel(EventHandle h) {
+  if (h.slot >= slab_size_ || slot(h.slot).seq != h.seq) return;  // stale
+  release_slot(h.slot);
+  ++dead_;
+  drop_dead_top();
+  if (2 * dead_ > heap_.size()) compact();
+}
+
+void Simulator::pop_top() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
+}
+
+void Simulator::drop_dead_top() {
+  while (dead_ > 0 && !live(heap_.front())) {
+    pop_top();
+    --dead_;
+  }
+}
+
+void Simulator::compact() {
+  std::erase_if(heap_, [this](const HeapEntry& e) { return !live(e); });
+  dead_ = 0;
+  // Bottom-up heap construction: sift down every parent, last first.
+  if (heap_.size() < 2) return;
+  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
 }
 
 // 4-ary hole-insertion heap: half the levels of a binary heap and one
@@ -103,16 +143,18 @@ bool Simulator::step() {
   // Start pulling the task's slot into cache while the sift below runs;
   // the slab is large enough that this fetch otherwise stalls invoke.
   __builtin_prefetch(static_cast<const void*>(&slot(top.slot)));
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  pop_top();
+  drop_dead_top();
   now_ = top.time;
   ++executed_;
   // Invoke in place — the chunked slab keeps the slot's address stable
   // even when the callback schedules enough new events to grow the
   // slab. The slot is recycled right after, so steady state holds the
-  // high-water mark of pending events plus one.
-  slot(top.slot).fn.consume();
+  // high-water mark of pending events plus one. Clearing `seq` first
+  // makes the event's own handle stale while it runs.
+  Slot& s = slot(top.slot);
+  s.seq = kNoSeq;
+  s.fn.consume();
   release_slot(top.slot);
   return true;
 }

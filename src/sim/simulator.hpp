@@ -13,6 +13,15 @@
 
 namespace prdma::sim {
 
+/// Names one event scheduled by Simulator::schedule()/schedule_at(). A
+/// default-constructed handle names no event.
+struct EventHandle {
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint64_t kNoSeq = UINT64_MAX;
+  std::uint32_t slot = kNoSlot;
+  std::uint64_t seq = kNoSeq;
+};
+
 /// Deterministic single-threaded discrete-event simulator.
 ///
 /// Events scheduled for the same timestamp execute in scheduling order
@@ -26,6 +35,13 @@ namespace prdma::sim {
 /// (time, seq, slot) entries. Once the slab and heap vectors reach
 /// their high-water marks, steady-state scheduling performs zero
 /// allocations — measured by bench/engine_perf and pinned by sim_test.
+///
+/// Every scheduled event can be withdrawn through its EventHandle
+/// with cancel() (DESIGN.md §7.1). Cancellation is lazy: the capture is
+/// destroyed and its slot recycled at once, while the heap entry stays
+/// behind, dead, until it reaches the top or a compaction filters it
+/// out. The heap top is always live, so pending(), next_event_time()
+/// and run_until() only ever see live events.
 class Simulator {
  public:
   Simulator() = default;
@@ -35,10 +51,11 @@ class Simulator {
   /// Current simulated time. Only advances inside run()/step().
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `fn` to run at now() + delay.
+  /// Schedules `fn` to run at now() + delay. The returned handle is
+  /// only needed to cancel() the event; most callers drop it.
   template <typename F>
-  void schedule(SimTime delay, F&& fn) {
-    schedule_at(now_ + delay, std::forward<F>(fn));
+  EventHandle schedule(SimTime delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedules `fn` to run at absolute time `t` (clamped to now()).
@@ -47,14 +64,20 @@ class Simulator {
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineTask>>>
-  void schedule_at(SimTime t, F&& fn) {
+  EventHandle schedule_at(SimTime t, F&& fn) {
     const std::uint32_t s = acquire_slot();
     slot(s).fn.emplace(std::forward<F>(fn));
-    push_entry(t, s);
+    return push_entry(t, s);
   }
 
   /// Overload for a pre-built task (move-assigned into the slot).
-  void schedule_at(SimTime t, InlineTask fn);
+  EventHandle schedule_at(SimTime t, InlineTask fn);
+
+  /// Withdraws a pending event: it never runs and is not counted in
+  /// events_executed(). A stale handle (the event already ran or was
+  /// cancelled) is ignored. Only the thread running this simulator may
+  /// call it.
+  void cancel(EventHandle h);
 
   /// Executes the next pending event, if any. Returns false when idle.
   bool step();
@@ -115,10 +138,10 @@ class Simulator {
   /// Number of events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of events currently pending.
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Number of live events currently pending (cancelled ones excluded).
+  [[nodiscard]] std::size_t pending() const { return heap_.size() - dead_; }
 
-  /// Timestamp of the next pending event. Calling this with
+  /// Timestamp of the next live pending event. Calling this with
   /// pending() == 0 is a contract violation (asserts in debug builds).
   [[nodiscard]] SimTime next_event_time() const {
     assert(!heap_.empty() && "next_event_time() requires pending() > 0");
@@ -131,11 +154,12 @@ class Simulator {
   [[nodiscard]] std::uint64_t pool_allocations() const { return pool_allocs_; }
 
   /// Event slots currently owned by the slab (high-water mark of
-  /// concurrently pending events, plus the one executing).
+  /// concurrently pending live events, plus the one executing).
   [[nodiscard]] std::size_t slab_slots() const { return slab_size_; }
 
  private:
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint32_t kNoSlot = EventHandle::kNoSlot;
+  static constexpr std::uint64_t kNoSeq = EventHandle::kNoSeq;
   /// Slab chunk geometry: fixed-size chunks give every slot a stable
   /// address, so step() can invoke a task in place while the callback
   /// grows the slab underneath it.
@@ -143,12 +167,17 @@ class Simulator {
   static constexpr std::size_t kSlabChunkSlots = std::size_t{1}
                                                 << kSlabChunkShift;
 
-  /// One recycled event slot. `next_free` threads the free-list when
-  /// the slot is vacant.
+  /// One recycled event slot. `seq` is the seq of the pending event
+  /// that owns the slot (kNoSeq while vacant or running), so a heap
+  /// entry whose seq differs is dead and a stale EventHandle misses.
+  /// `next_free` threads the free-list when the slot is vacant.
   struct Slot {
     InlineTask fn;
+    std::uint64_t seq = kNoSeq;
     std::uint32_t next_free = kNoSlot;
   };
+  // `seq` fits in the padding the slot already had.
+  static_assert(sizeof(Slot) <= sizeof(InlineTask) + alignof(InlineTask));
 
   /// Compact heap entry: ordering data only, so sift operations move
   /// 24 bytes instead of whole events.
@@ -165,7 +194,15 @@ class Simulator {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// Links an occupied slot into the queue at time `t` (clamped to now()).
-  void push_entry(SimTime t, std::uint32_t slot);
+  EventHandle push_entry(SimTime t, std::uint32_t slot);
+  [[nodiscard]] bool live(const HeapEntry& e) {
+    return slot(e.slot).seq == e.seq;
+  }
+  void pop_top();
+  /// Pops dead entries off the top: restores the live-top invariant.
+  void drop_dead_top();
+  /// Filters every dead entry out of the heap and re-heapifies.
+  void compact();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
@@ -189,6 +226,7 @@ class Simulator {
   std::vector<std::unique_ptr<Slot[]>> slab_;
   std::size_t slab_size_ = 0;  ///< slots handed out across all chunks
   std::uint32_t free_head_ = kNoSlot;
+  std::size_t dead_ = 0;  ///< cancelled entries still in heap_
   // Hand-rolled 4-ary min-heap: std::priority_queue's const top() blocks
   // moving entries out, and (time, seq) FIFO needs the explicit tie-break.
   // Arity does not affect the pop order — the comparator is total.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -332,6 +333,87 @@ TEST(EngineParity, LossyCellsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(r1.engine_partitions, 1u);
   expect_model_identical(r1, r2, "lossy wflush x2");
   expect_model_identical(r1, r8, "lossy wflush x8");
+}
+
+/// Per-node WFlush-RPC cluster driven by one closed-loop writer per
+/// client node, with the shard heaps inspectable after the run.
+struct TimerRun {
+  std::uint64_t events = 0;
+  std::uint64_t epochs = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t drops = 0;
+  sim::SimTime max_now = 0;
+  sim::SimTime last_done = 0;
+  std::vector<sim::SimTime> done_at;  ///< per client
+  std::vector<std::size_t> shard_pending;
+};
+
+TimerRun run_timer_cluster(unsigned threads, double loss) {
+  bench::MicroConfig mc = parity_config(threads);
+  mc.loss_probability = loss;
+  mc.retransmit_interval = 500 * sim::kMicrosecond;
+  const core::ModelParams params = bench::params_for(mc);
+  core::Cluster cluster(params, 1 + mc.clients, per_node(threads));
+  std::vector<std::size_t> client_nodes;
+  for (std::size_t c = 0; c < mc.clients; ++c) client_nodes.push_back(1 + c);
+  auto dep = rpcs::make_deployment(cluster, rpcs::System::kWFlushRpc, 0,
+                                   client_nodes, params);
+  TimerRun out;
+  out.done_at.assign(mc.clients, 0);
+  for (std::size_t c = 0; c < mc.clients; ++c) {
+    sim::spawn([](core::RpcClient& client, sim::Simulator& sim,
+                  sim::SimTime& done) -> sim::Task<> {
+      for (std::uint64_t i = 0; i < 60; ++i) {
+        const auto res = co_await client.call(
+            core::RpcRequest{core::RpcOp::kWrite, i % 32, 1024});
+        EXPECT_TRUE(res.ok);
+      }
+      done = sim.now();
+    }(*dep.clients[c], cluster.sim_of(client_nodes[c]), out.done_at[c]));
+  }
+  cluster.run();
+  out.events = cluster.events_executed();
+  out.epochs = cluster.engine().epochs();
+  out.max_now = cluster.engine().max_now();
+  out.drops = cluster.fabric().packets_dropped();
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    out.retransmits += cluster.node(i).rnic().retransmits();
+  }
+  for (const sim::SimTime t : out.done_at) {
+    out.last_done = std::max(out.last_done, t);
+  }
+  for (std::size_t p = 0; p < cluster.engine().partitions(); ++p) {
+    out.shard_pending.push_back(cluster.engine().shard(p).pending());
+  }
+  return out;
+}
+
+TEST(EngineTimers, LossyRunWithCancelledTimersIsThreadCountIndependent) {
+  const TimerRun r1 = run_timer_cluster(1, 0.02);
+  const TimerRun r4 = run_timer_cluster(4, 0.02);
+  EXPECT_GT(r1.drops, 0u);
+  EXPECT_GT(r1.retransmits, 0u);
+  EXPECT_EQ(r1.events, r4.events);
+  EXPECT_EQ(r1.epochs, r4.epochs);
+  EXPECT_EQ(r1.retransmits, r4.retransmits);
+  EXPECT_EQ(r1.drops, r4.drops);
+  EXPECT_EQ(r1.done_at, r4.done_at);
+  EXPECT_EQ(r1.max_now, r4.max_now);
+}
+
+TEST(EngineTimers, CleanRunEndsWithoutADeadTimerTail) {
+  // No loss: every RC timer is cancelled by its ACK, so every shard
+  // drains with its last live event and the epoch loop stops there —
+  // not one retransmit interval after the last send.
+  for (const unsigned threads : {1u, 4u}) {
+    const TimerRun r = run_timer_cluster(threads, 0.0);
+    ASSERT_EQ(r.shard_pending.size(), 4u);
+    for (const std::size_t pending : r.shard_pending) EXPECT_EQ(pending, 0u);
+    EXPECT_EQ(r.retransmits, 0u);
+    ASSERT_GT(r.last_done, 0u);
+    EXPECT_LT(r.max_now, r.last_done + 500 * sim::kMicrosecond)
+        << threads << " threads";
+  }
 }
 
 TEST(EngineParity, FaultPlanCellsAreByteIdenticalAcrossThreadCounts) {

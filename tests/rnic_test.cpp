@@ -753,6 +753,147 @@ TEST(RnicReliability, ErrorQpFlushesPendingAndSubsequentPosts) {
   EXPECT_EQ(later_at, pending_at) << "post-error posts must fail instantly";
 }
 
+// ---------------------------------------------------------- retransmit timers
+//
+// Every path that takes a WR out of the unacked window cancels its
+// retransmission timer, so a run ends at its last live event instead
+// of one retransmit interval after its last send.
+
+TEST(RnicTimers, CleanExchangeLeavesNothingPendingAfterTheLastWc) {
+  Rig rig;
+  rig.cmem.cpu_write(mem::NodeMemory::kDramBase, pattern(512));
+  std::size_t pending_at_last_wc = SIZE_MAX;
+  SimTime last_wc = 0;
+  sim::spawn([](Rig& r, std::size_t& pending, SimTime& at) -> Task<> {
+    rdma::Completer comp(r.sim, r.c_scq);
+    rdma::QpSession s(r.cnic, *r.cqp, comp);
+    for (int i = 0; i < 8; ++i) {
+      s.post_write_nowait(mem::NodeMemory::kDramBase, 512,
+                          static_cast<std::uint64_t>(i) * 1024);
+      const auto wc = co_await s.wflush(static_cast<std::uint64_t>(i) * 1024, 512);
+      EXPECT_TRUE(wc.has_value() && wc->status == WcStatus::kSuccess);
+    }
+    pending = r.sim.pending();
+    at = r.sim.now();
+  }(rig, pending_at_last_wc, last_wc));
+  rig.sim.run();
+  EXPECT_EQ(pending_at_last_wc, 0u);
+  EXPECT_EQ(rig.sim.now(), last_wc);
+  EXPECT_LT(rig.sim.now(), rig.rp.retransmit_interval);
+}
+
+TEST(RnicTimers, NakCancelsTheTimerOfTheRejectedWr) {
+  rnic::RnicParams rp;
+  rp.enforce_mr = true;
+  Rig rig(rp);
+  rig.cmem.cpu_write(mem::NodeMemory::kDramBase, pattern(256));
+  rig.cnic.post_write(*rig.cqp, mem::NodeMemory::kDramBase, 256, 0x9000, 1);
+  rig.sim.run();
+  ASSERT_EQ(rig.c_scq.depth(), 1u);
+  EXPECT_EQ(rig.snic.access_violations(), 1u);
+  EXPECT_LT(rig.sim.now(), rp.retransmit_interval)
+      << "the NAKed WR's timer outlived it";
+}
+
+TEST(RnicTimers, RetryExhaustionCancelsTheFlushedWrsTimers) {
+  // Head plus two WRs behind it, peer dead: the head's last timeout
+  // escalates and flushes the others, whose re-watch timers must go
+  // with them — the run ends at the escalation.
+  rnic::RnicParams rp;
+  rp.retransmit_interval = 50_us;
+  rp.max_retransmits = 2;
+  Rig rig(rp);
+  rig.snic.crash();
+  rig.cmem.cpu_write(mem::NodeMemory::kDramBase, pattern(64));
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    rig.cnic.post_write(*rig.cqp, mem::NodeMemory::kDramBase, 64, i * 256, i);
+  }
+  SimTime escalated_at = 0;
+  sim::spawn([](Rig& r, SimTime& at) -> Task<> {
+    for (int i = 0; i < 3; ++i) {
+      const auto wc = co_await r.c_scq.channel().recv();
+      EXPECT_TRUE(wc.has_value());
+      EXPECT_EQ(wc->status,
+                i == 0 ? WcStatus::kRetryExceeded : WcStatus::kFlushed);
+    }
+    at = r.sim.now();
+  }(rig, escalated_at));
+  rig.sim.run();
+  ASSERT_GT(escalated_at, 0u);
+  EXPECT_EQ(rig.sim.now(), escalated_at);
+  EXPECT_EQ(rig.sim.pending(), 0u);
+}
+
+TEST(RnicTimers, CrashCancelsEveryPendingTimer) {
+  Rig rig;
+  rig.cmem.cpu_write(mem::NodeMemory::kDramBase, pattern(64));
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    rig.cnic.post_write(*rig.cqp, mem::NodeMemory::kDramBase, 64, i * 256, i);
+  }
+  const std::size_t before = rig.sim.pending();
+  rig.cnic.crash();
+  EXPECT_EQ(rig.sim.pending(), before - 3) << "one timer per unacked WR";
+  rig.sim.run();
+  EXPECT_EQ(rig.c_scq.pushed(), 3u);  // all three flushed
+  EXPECT_LT(rig.sim.now(), rig.rp.retransmit_interval);
+}
+
+TEST(RnicTimers, ReleasingPacketBuffersCancelsTheirTimers) {
+  Rig rig;
+  rig.cmem.cpu_write(mem::NodeMemory::kDramBase, pattern(64));
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    rig.cnic.post_write(*rig.cqp, mem::NodeMemory::kDramBase, 64, i * 256, i);
+  }
+  const std::size_t before = rig.sim.pending();
+  rig.cnic.release_packet_buffers();
+  EXPECT_EQ(rig.sim.pending(), before - 3) << "one timer per unacked WR";
+  rig.sim.run();
+  EXPECT_LT(rig.sim.now(), rig.rp.retransmit_interval);
+}
+
+TEST(RnicTimers, NotifyOnAnErroredQpIsNeverRetransmitted) {
+  // The server's QP exhausts its retries while the cable is dark and
+  // goes to error. Its smartNIC lookup table still answers the client's
+  // next write with a notify on that QP; the notify's predecessor was
+  // lost, so the client parks it out of order and never ACKs it. The
+  // notify's timer must not replay it or fail the QP a second time.
+  rnic::RnicParams rp;
+  rp.smartnic_rflush = true;
+  rp.retransmit_interval = 50_us;
+  rp.max_retransmits = 2;
+  Rig rig(rp);
+  net::FaultPlan plan;
+  net::LinkFlap flap;
+  flap.a = 0;
+  flap.b = 1;
+  flap.down_at = 1;
+  flap.up_at = 500_us;
+  plan.link_flaps.push_back(flap);
+  rig.fab.set_fault_plan(plan);
+  const std::uint64_t notify = mem::NodeMemory::kDramBase + 512 * 1024;
+  rig.snic.configure_auto_persist(*rig.sqp, 0x1000, 4096, notify);
+  rig.smem.cpu_write(mem::NodeMemory::kDramBase, pattern(64));
+  rig.cmem.cpu_write(mem::NodeMemory::kDramBase, pattern(64));
+
+  rig.snic.post_write(*rig.sqp, mem::NodeMemory::kDramBase, 64, 0x2000, 7);
+  std::uint64_t retransmits_at_error = 0;
+  rig.sim.schedule(600_us, [&rig, &retransmits_at_error] {
+    ASSERT_TRUE(rig.sqp->in_error);
+    retransmits_at_error = rig.snic.retransmits();
+    rig.cnic.post_write(*rig.cqp, mem::NodeMemory::kDramBase, 64, 0x1000, 8);
+  });
+  rig.sim.run();
+
+  EXPECT_GE(rig.snic.flushes_executed(), 1u);
+  EXPECT_EQ(rig.cqp->ooo.size(), 1u) << "the notify must arrive unACKed";
+  EXPECT_EQ(rig.sqp->unacked.size(), 1u);
+  EXPECT_EQ(rig.snic.retransmits(), retransmits_at_error);
+  ASSERT_EQ(rig.s_scq.pushed(), 1u) << "the QP failed more than once";
+  const auto wc = rig.s_scq.channel().try_recv();
+  ASSERT_TRUE(wc.has_value());
+  EXPECT_EQ(wc->status, WcStatus::kRetryExceeded);
+}
+
 // ---------------------------------------------------------------- various
 
 TEST(RnicWriteImm, NotifiesReceiverCpuWithImmediate) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -190,6 +191,281 @@ TEST(Simulator, SlabRecyclesSlotsAcrossEventWaves) {
   // than one wave's worth of slots (rounded up to the chunk size).
   EXPECT_LE(sim.slab_slots(), 256u);
   EXPECT_EQ(sim.events_executed(), 1000u);
+}
+
+// ------------------------------------------------------- cancellable events
+
+TEST(SimCancel, CancelledEventNeverRunsAndIsNotCounted) {
+  Simulator sim;
+  std::vector<int> ran;
+  sim.schedule(10, [&] { ran.push_back(1); });
+  const EventHandle h = sim.schedule(20, [&] { ran.push_back(2); });
+  sim.schedule(30, [&] { ran.push_back(3); });
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.cancel(h);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(SimCancel, CancellingTheTopExposesTheNextLiveEvent) {
+  Simulator sim;
+  const EventHandle a = sim.schedule(10, [] {});
+  const EventHandle b = sim.schedule(15, [] {});
+  sim.schedule(20, [] {});
+  EXPECT_EQ(sim.next_event_time(), 10u);
+  sim.cancel(a);
+  EXPECT_EQ(sim.next_event_time(), 15u);
+  sim.cancel(b);
+  EXPECT_EQ(sim.next_event_time(), 20u);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(SimCancel, RunEndsAtTheLastLiveEvent) {
+  // A far-future timer cancelled before it fires must not drag run()
+  // (or run_until's drain check) out to its timestamp.
+  Simulator sim;
+  const EventHandle timer = sim.schedule(1'000'000, [] {});
+  sim.schedule(10, [&] { sim.cancel(timer); });
+  sim.run();
+  EXPECT_EQ(sim.now(), 10u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(SimCancel, CancelFromInsideARunningCallback) {
+  Simulator sim;
+  std::vector<int> ran;
+  EventHandle self;
+  EventHandle later;
+  self = sim.schedule(5, [&] {
+    ran.push_back(1);
+    sim.cancel(self);   // its own handle is stale while it runs
+    sim.cancel(later);  // withdraws a pending event
+    sim.schedule(1, [&] { ran.push_back(3); });
+  });
+  later = sim.schedule(6, [&] { ran.push_back(2); });
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(SimCancel, StaleHandleIsIgnoredAfterItsSlotIsReused) {
+  Simulator sim;
+  int ran = 0;
+  const EventHandle old_run = sim.schedule(1, [&] { ++ran; });
+  sim.run();
+  const EventHandle next = sim.schedule(1, [&] { ran += 10; });
+  ASSERT_EQ(next.slot, old_run.slot) << "the free-list must recycle the slot";
+  sim.cancel(old_run);  // already ran: must not hit the slot's new owner
+  EXPECT_EQ(sim.pending(), 1u);
+  const EventHandle old_cancel = next;
+  sim.cancel(next);
+  const EventHandle reused = sim.schedule(1, [&] { ran += 100; });
+  ASSERT_EQ(reused.slot, old_cancel.slot);
+  sim.cancel(old_cancel);  // already cancelled: ignored as well
+  sim.cancel(EventHandle{});  // names no event
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(ran, 101);
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(SimCancel, TimerChurnIsAllocationFree) {
+  // The RC retransmit pattern: every event arms a far-future timer and
+  // withdraws the previous one. Dead entries pile up behind the live
+  // window until compaction; after warm-up neither the slab nor the
+  // heap vector may grow again.
+  Simulator sim;
+  std::uint64_t remaining = 60'000;
+  EventHandle timer;
+  std::function<void()> tick = [&] {
+    if (remaining == 0) return;
+    --remaining;
+    sim.cancel(timer);
+    timer = sim.schedule(1'000'000, [] {});
+    sim.schedule((remaining % 7) + 1, [&tick] { tick(); });
+  };
+  for (int i = 0; i < 64; ++i) tick();
+  for (int i = 0; i < 10'000; ++i) sim.step();  // warm-up window
+  const std::uint64_t pool0 = sim.pool_allocations();
+  const std::uint64_t heap0 = inline_fn_heap_allocs();
+  sim.run();
+  EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(sim.pool_allocations(), pool0) << "slab or heap vector grew";
+  EXPECT_EQ(inline_fn_heap_allocs(), heap0);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+/// Differential check: runs a Simulator and a reference ordered map
+/// keyed by (time, seq) through the same seeded mix of schedule,
+/// cancel and step — from outside and from inside running callbacks —
+/// and compares execution order, events_executed(), pending() and
+/// next_event_time() after every operation.
+class CancelDiff {
+ public:
+  struct Mix {
+    SimTime max_delay;  ///< small values force same-timestamp ties
+    double cancel_p;    ///< chance an operation is a cancel
+    double nested_p;    ///< chance a callback schedules/cancels
+    double plain_p;     ///< chance a schedule drops its handle
+  };
+
+  CancelDiff(std::uint64_t seed, Mix mix) : rng_(seed), mix_(mix) {}
+
+  void run(int ops) {
+    for (int i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+      const double r = rng_.uniform01();
+      if (r < mix_.cancel_p) {
+        rng_.bernoulli(0.3) ? cancel_top() : cancel_random();
+      } else if (r < mix_.cancel_p + 0.35) {
+        schedule();
+      } else {
+        step();
+      }
+      check();
+    }
+    while (!ref_.empty() && !::testing::Test::HasFailure()) {
+      step();
+      check();
+    }
+    EXPECT_FALSE(sim_.step());
+  }
+
+  [[nodiscard]] std::uint64_t cancels() const { return cancels_; }
+
+ private:
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+    bool operator<(const Key& o) const {
+      return time != o.time ? time < o.time : seq < o.seq;
+    }
+  };
+  struct Ref {
+    int id;
+    std::size_t handle;  ///< index into handles_, or kPlain (dropped)
+  };
+  static constexpr std::size_t kPlain = SIZE_MAX;
+
+  void schedule() {
+    const SimTime delay = rng_.uniform(0, mix_.max_delay);
+    const Key key{sim_.now() + delay, next_seq_++};
+    const int id = next_id_++;
+    auto fn = [this, id] { on_run(id); };
+    if (rng_.bernoulli(mix_.plain_p)) {
+      sim_.schedule(delay, fn);
+      ref_.emplace(key, Ref{id, kPlain});
+    } else {
+      handles_.emplace_back(sim_.schedule(delay, fn), key);
+      ref_.emplace(key, Ref{id, handles_.size() - 1});
+    }
+  }
+
+  /// Any handle ever issued: pending, already run, already cancelled,
+  /// or one whose slot now belongs to a newer event.
+  void cancel_random() {
+    if (handles_.empty()) return;
+    const auto i = static_cast<std::size_t>(rng_.uniform(0, handles_.size() - 1));
+    sim_.cancel(handles_[i].first);
+    cancels_ += ref_.erase(handles_[i].second);
+  }
+
+  void cancel_top() {
+    if (ref_.empty() || ref_.begin()->second.handle == kPlain) return;
+    sim_.cancel(handles_[ref_.begin()->second.handle].first);
+    ref_.erase(ref_.begin());
+    ++cancels_;
+  }
+
+  void step() {
+    if (ref_.empty()) {
+      EXPECT_FALSE(sim_.step());
+      return;
+    }
+    const auto top = ref_.begin();
+    expected_ = top->second.id;
+    const SimTime t = top->first.time;
+    ref_.erase(top);
+    ++executed_;
+    ASSERT_TRUE(sim_.step());
+    EXPECT_EQ(sim_.now(), t);
+    EXPECT_EQ(ran_, expected_);
+  }
+
+  void on_run(int id) {
+    ran_ = id;
+    EXPECT_EQ(id, expected_) << "execution order diverged from (time, seq)";
+    if (!rng_.bernoulli(mix_.nested_p)) return;
+    // Mid-callback: the reference already popped this event, so both
+    // sides see the same pending set.
+    rng_.bernoulli(mix_.cancel_p) ? cancel_random() : schedule();
+    if (rng_.bernoulli(0.5)) schedule();
+  }
+
+  void check() {
+    EXPECT_EQ(sim_.events_executed(), executed_);
+    ASSERT_EQ(sim_.pending(), ref_.size());
+    if (!ref_.empty()) {
+      EXPECT_EQ(sim_.next_event_time(), ref_.begin()->first.time);
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  Mix mix_;
+  std::map<Key, Ref> ref_;
+  std::vector<std::pair<EventHandle, Key>> handles_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancels_ = 0;
+  int next_id_ = 0;
+  int expected_ = -1;
+  int ran_ = -1;
+};
+
+TEST(SimCancel, RandomMixesMatchTheReferenceQueue) {
+  const CancelDiff::Mix mixes[] = {
+      {1'000'000, 0.05, 0.2, 0.3},  // sparse cancels, wide spread
+      {4, 0.20, 0.5, 0.2},          // dense same-timestamp ties
+      {100'000, 0.45, 0.6, 0.1},    // cancel-heavy: forces compaction
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const CancelDiff::Mix& mix : mixes) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " max_delay " +
+                   std::to_string(mix.max_delay));
+      CancelDiff diff(seed, mix);
+      diff.run(4'000);
+      EXPECT_GT(diff.cancels(), 0u);
+    }
+  }
+}
+
+TEST(SimCancel, MassCancellationKeepsOrderThroughCompaction) {
+  // 4 000 timers, then three of every four withdrawn: dead entries
+  // outnumber live ones many times over, so the heap compacts; the
+  // survivors must still pop in exact (time, seq) order.
+  Simulator sim;
+  Rng rng(99);
+  std::vector<EventHandle> handles;
+  std::vector<std::pair<SimTime, int>> expect;
+  std::vector<std::pair<SimTime, int>> got;
+  for (int i = 0; i < 4'000; ++i) {
+    const SimTime d = rng.uniform(1, 500);
+    handles.push_back(sim.schedule(
+        d, [&got, &sim, i] { got.emplace_back(sim.now(), i); }));
+    if (i % 4 == 3) expect.emplace_back(d, i);
+  }
+  for (int i = 0; i < 4'000; ++i) {
+    if (i % 4 != 3) sim.cancel(handles[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(sim.pending(), 1'000u);
+  std::stable_sort(expect.begin(), expect.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  sim.run();
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(sim.events_executed(), 1'000u);
 }
 
 // -------------------------------------------------------- InlineFunction
