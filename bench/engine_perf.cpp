@@ -21,7 +21,8 @@
 //     asserting the merged results are identical (per-cell wall times
 //     land in the JSON so sweep_speedup regressions are attributable).
 //  5. Data plane (PR 4, BENCH_dataplane.json): the same durable cell
-//     at 64 B / 1 KB / 16 KB in kShadow vs kFull content mode —
+//     at 64 B / 1 KB / 16 KB, write-only and 1:1 read/write, in
+//     kShadow vs kFull content mode —
 //     asserting byte-identical stats, recording bytes-copied/op and
 //     wall speedup, and gating zero steady-state allocations per
 //     durable RPC (event pool + InlineFunction + payload-pool slabs
@@ -396,11 +397,12 @@ int main(int argc, char** argv) {
     std::uint64_t fn_allocs = 0;
   };
   const auto run_plane = [&micro_ops](std::uint64_t size, mem::ContentMode mode,
-                                      std::uint64_t ops = 0) {
+                                      std::uint64_t ops = 0,
+                                      double read_ratio = 0.0) {
     bench::MicroConfig cfg;
     cfg.object_size = static_cast<std::uint32_t>(size);
     cfg.ops = ops == 0 ? micro_ops : ops;
-    cfg.read_ratio = 0.0;
+    cfg.read_ratio = read_ratio;
     cfg.content_mode = mode;
     PlaneCell c;
     c.size = size;
@@ -413,59 +415,69 @@ int main(int argc, char** argv) {
   };
 
   constexpr std::uint64_t kPlaneSizes[] = {64, 1024, 16384};
+  // Write-only, then 1:1 read/write: reads of objects no op has
+  // written yet take the pristine path (DESIGN.md §7.3).
+  constexpr double kPlaneReadRatios[] = {0.0, 0.5};
   bench::TablePrinter plane(
-      {"size", "mode", "wall s", "copied B/op", "kops", "speedup"});
+      {"size", "reads", "mode", "wall s", "copied B/op", "kops", "speedup"});
   bench::Json plane_cells = bench::Json::array();
   bool plane_parity = true;
   double shadow_speedup_1k = 0.0;
   for (const std::uint64_t size : kPlaneSizes) {
-    const PlaneCell full = run_plane(size, mem::ContentMode::kFull);
-    const PlaneCell shadow = run_plane(size, mem::ContentMode::kShadow);
-    // The whole point of kShadow: identical simulation, fewer copies.
-    const bool same =
-        full.res.ops_completed == shadow.res.ops_completed &&
-        full.res.duration == shadow.res.duration &&
-        full.res.sim_events == shadow.res.sim_events &&
-        full.res.kops == shadow.res.kops &&
-        full.res.latency.mean() == shadow.res.latency.mean() &&
-        full.res.latency.p99() == shadow.res.latency.p99();
-    plane_parity = plane_parity && same;
-    const double speedup = full.secs / shadow.secs;
-    if (size == 1024) shadow_speedup_1k = speedup;
-    for (const PlaneCell* c : {&full, &shadow}) {
-      const bool is_shadow = c == &shadow;
-      const double ops = static_cast<double>(
-          std::max<std::uint64_t>(c->res.ops_completed, 1));
-      const double copied_per_op =
-          static_cast<double>(c->res.bytes_copied) / ops;
-      plane.add_row({std::to_string(size), is_shadow ? "shadow" : "full",
-                     bench::TablePrinter::num(c->secs, 3),
-                     bench::TablePrinter::num(copied_per_op, 0),
-                     bench::TablePrinter::num(c->res.kops, 1),
-                     is_shadow ? bench::TablePrinter::num(speedup, 2) + "x"
-                               : "-"});
-      bench::Json cell = bench::Json::object();
-      cell.set("object_size", bench::Json::num(size))
-          .set("mode", bench::Json::str(is_shadow ? "shadow" : "full"))
-          .set("wall_secs", bench::Json::num(c->secs))
-          .set("events_per_sec",
-               bench::Json::num(static_cast<double>(c->res.sim_events) /
-                                c->secs))
-          .set("kops", bench::Json::num(c->res.kops))
-          .set("bytes_copied", bench::Json::num(c->res.bytes_copied))
-          .set("bytes_copied_per_op", bench::Json::num(copied_per_op))
-          .set("pool_acquires", bench::Json::num(c->res.pool.acquires))
-          .set("pool_outstanding_peak",
-               bench::Json::num(c->res.pool.outstanding_peak))
-          .set("pool_slab_bytes", bench::Json::num(c->res.pool.slab_bytes))
-          .set("pool_oversize_allocs",
-               bench::Json::num(c->res.pool.oversize_allocs))
-          .set("heap_fallbacks", bench::Json::num(c->fn_allocs))
-          .set("stats_match_other_mode", bench::Json::boolean(same));
-      plane_cells.push(std::move(cell));
+    for (const double read_ratio : kPlaneReadRatios) {
+      const PlaneCell full =
+          run_plane(size, mem::ContentMode::kFull, 0, read_ratio);
+      const PlaneCell shadow =
+          run_plane(size, mem::ContentMode::kShadow, 0, read_ratio);
+      // The whole point of kShadow: identical simulation, fewer copies.
+      const bool same =
+          full.res.ops_completed == shadow.res.ops_completed &&
+          full.res.duration == shadow.res.duration &&
+          full.res.sim_events == shadow.res.sim_events &&
+          full.res.kops == shadow.res.kops &&
+          full.res.latency.mean() == shadow.res.latency.mean() &&
+          full.res.latency.p99() == shadow.res.latency.p99();
+      plane_parity = plane_parity && same;
+      const double speedup = full.secs / shadow.secs;
+      if (size == 1024 && read_ratio == 0.0) shadow_speedup_1k = speedup;
+      for (const PlaneCell* c : {&full, &shadow}) {
+        const bool is_shadow = c == &shadow;
+        const double ops = static_cast<double>(
+            std::max<std::uint64_t>(c->res.ops_completed, 1));
+        const double copied_per_op =
+            static_cast<double>(c->res.bytes_copied) / ops;
+        plane.add_row({std::to_string(size),
+                       bench::TablePrinter::num(read_ratio, 1),
+                       is_shadow ? "shadow" : "full",
+                       bench::TablePrinter::num(c->secs, 3),
+                       bench::TablePrinter::num(copied_per_op, 0),
+                       bench::TablePrinter::num(c->res.kops, 1),
+                       is_shadow ? bench::TablePrinter::num(speedup, 2) + "x"
+                                 : "-"});
+        bench::Json cell = bench::Json::object();
+        cell.set("object_size", bench::Json::num(size))
+            .set("read_ratio", bench::Json::num(read_ratio))
+            .set("mode", bench::Json::str(is_shadow ? "shadow" : "full"))
+            .set("wall_secs", bench::Json::num(c->secs))
+            .set("events_per_sec",
+                 bench::Json::num(static_cast<double>(c->res.sim_events) /
+                                  c->secs))
+            .set("kops", bench::Json::num(c->res.kops))
+            .set("bytes_copied", bench::Json::num(c->res.bytes_copied))
+            .set("bytes_copied_per_op", bench::Json::num(copied_per_op))
+            .set("pool_acquires", bench::Json::num(c->res.pool.acquires))
+            .set("pool_outstanding_peak",
+                 bench::Json::num(c->res.pool.outstanding_peak))
+            .set("pool_slab_bytes", bench::Json::num(c->res.pool.slab_bytes))
+            .set("pool_oversize_allocs",
+                 bench::Json::num(c->res.pool.oversize_allocs))
+            .set("heap_fallbacks", bench::Json::num(c->fn_allocs))
+            .set("stats_match_other_mode", bench::Json::boolean(same));
+        plane_cells.push(std::move(cell));
+      }
     }
   }
-  std::printf("\ndata plane (WFlush-RPC, write-only, %llu ops):\n",
+  std::printf("\ndata plane (WFlush-RPC, %llu ops per cell):\n",
               static_cast<unsigned long long>(micro_ops));
   plane.print();
 

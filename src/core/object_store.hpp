@@ -20,7 +20,11 @@ class ObjectStore {
       : node_(node),
         count_(object_count),
         slot_(slot_bytes),
-        base_(node.pm_alloc().alloc(object_count * slot_bytes, 256)) {}
+        base_(node.pm_alloc().alloc(object_count * slot_bytes, 256)) {
+    // Fresh slots hold zeros: a read of a slot no run has written yet
+    // moves no bytes in kShadow (DESIGN.md §7.3).
+    node.mem().declare_pristine(base_, object_count * slot_bytes);
+  }
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] std::uint64_t slot_bytes() const { return slot_; }

@@ -27,6 +27,8 @@ void NodeMemory::write_bytes_nofire(std::uint64_t addr,
     // shadow extents it overlaps so digest lookups fail closed.
     trim_shadow(addr, data.size());
   }
+  // ...and it is no longer pristine (the hull is empty in kFull).
+  if (touches_pristine(addr, data.size())) clip_pristine(addr, data.size());
   if (is_pm(addr)) {
     switch (path) {
       case WritePath::kCpu:
@@ -120,6 +122,53 @@ NodeMemory::ShadowMap::iterator NodeMemory::insert_shadow(
   return shadow_.insert(hint, std::move(nh));
 }
 
+void NodeMemory::declare_pristine(std::uint64_t addr, std::uint64_t len) {
+  if (mode_ == ContentMode::kFull || len == 0) return;
+  std::uint64_t start = addr;
+  std::uint64_t end = addr + len;
+  // Absorb every range that overlaps or touches [start, end).
+  auto it = pristine_.lower_bound(start);
+  if (it != pristine_.begin() && std::prev(it)->second >= start) --it;
+  while (it != pristine_.end() && it->first <= end) {
+    start = std::min(start, it->first);
+    end = std::max(end, it->second);
+    it = pristine_.erase(it);
+  }
+  pristine_.emplace_hint(it, start, end);
+  update_pristine_hull();
+}
+
+void NodeMemory::clip_pristine(std::uint64_t addr, std::uint64_t len) {
+  const std::uint64_t end = addr + len;
+  auto it = pristine_.upper_bound(addr);
+  if (it != pristine_.begin() && std::prev(it)->second > addr) --it;
+  while (it != pristine_.end() && it->first < end) {
+    const std::uint64_t r_end = it->second;
+    if (it->first < addr) {
+      it->second = addr;  // keep the untouched head in place
+      if (r_end > end) {
+        pristine_.emplace_hint(std::next(it), end, r_end);
+        break;
+      }
+      ++it;
+    } else if (r_end > end) {
+      // Keep the untouched tail, re-keying its node.
+      auto nh = pristine_.extract(it);
+      nh.key() = end;
+      pristine_.insert(std::move(nh));
+      break;
+    } else {
+      it = pristine_.erase(it);
+    }
+  }
+  update_pristine_hull();
+}
+
+void NodeMemory::update_pristine_hull() {
+  pristine_lo_ = pristine_.empty() ? 0 : pristine_.begin()->first;
+  pristine_hi_ = pristine_.empty() ? 0 : pristine_.rbegin()->second;
+}
+
 std::uint64_t NodeMemory::write_payload_nofire(std::uint64_t addr,
                                                const PayloadRef& p,
                                                std::uint64_t limit,
@@ -141,22 +190,55 @@ std::uint64_t NodeMemory::write_payload_nofire(std::uint64_t addr,
   return pos;
 }
 
+PayloadRef NodeMemory::read_bytes_image(std::uint64_t addr,
+                                        std::uint64_t len) {
+  PayloadRef r = pool_.acquire(len);
+  std::byte* dst =
+      r.buf()->append_bytes_uninit(static_cast<std::uint32_t>(len));
+  cpu_read(addr, {dst, static_cast<std::size_t>(len)});
+  return r;
+}
+
 PayloadRef NodeMemory::read_payload(std::uint64_t addr, std::uint64_t len) {
   if (len == 0) return {};
-  if (mode_ == ContentMode::kFull || shadow_.empty()) {
-    PayloadRef r = pool_.acquire(len);
-    std::byte* dst =
-        r.buf()->append_bytes_uninit(static_cast<std::uint32_t>(len));
-    cpu_read(addr, {dst, static_cast<std::size_t>(len)});
-    return r;
+  if (mode_ == ContentMode::kFull ||
+      (shadow_.empty() && !touches_pristine(addr, len))) {
+    return read_bytes_image(addr, len);
   }
 
-  // Plan the extents: shadow ranges pass through by reference, the
-  // gaps between them are byte-copied from the coherent view.
+  // Plan the extents: shadow ranges pass through by reference; the
+  // gaps between them pass through as generated content where they
+  // are pristine and are byte-copied from the coherent view elsewhere.
   Piece pieces[PayloadBuf::kMaxSegs];
   std::uint32_t np = 0;
   bool overflow = false;
   std::uint64_t gap_bytes = 0;
+  const auto add = [&](bool shadow, std::uint64_t start, std::uint64_t n,
+                       std::uint64_t seed, std::uint64_t off) {
+    if (np == PayloadBuf::kMaxSegs) {
+      overflow = true;
+      return;
+    }
+    pieces[np++] = Piece{shadow, start, n, seed, off};
+    if (!shadow) gap_bytes += n;
+  };
+  const auto add_gap = [&](std::uint64_t a, std::uint64_t b) {
+    auto p = pristine_.upper_bound(a);
+    if (p != pristine_.begin() && std::prev(p)->second > a) --p;
+    while (a < b && !overflow) {
+      if (p != pristine_.end() && p->first <= a) {
+        const std::uint64_t n = std::min(b, p->second) - a;
+        add(true, a, n, kPristineSeed, a);
+        a += n;
+        ++p;
+      } else {
+        const std::uint64_t next =
+            (p == pristine_.end()) ? b : std::min(b, p->first);
+        add(false, a, next - a, 0, 0);
+        a = next;
+      }
+    }
+  };
   const std::uint64_t end = addr + len;
   std::uint64_t cur = addr;
   auto it = shadow_.upper_bound(cur);
@@ -164,36 +246,27 @@ PayloadRef NodeMemory::read_payload(std::uint64_t addr, std::uint64_t len) {
     auto prev = std::prev(it);
     if (prev->first + prev->second.len > cur) it = prev;
   }
-  while (cur < end) {
-    if (np == PayloadBuf::kMaxSegs) {
-      overflow = true;
-      break;
-    }
+  while (cur < end && !overflow) {
     if (it != shadow_.end() && it->first <= cur &&
         cur < it->first + it->second.len) {
       const std::uint64_t n =
           std::min(end, it->first + it->second.len) - cur;
-      pieces[np++] = Piece{true, cur, n, it->second.seed,
-                           it->second.off + (cur - it->first)};
+      add(true, cur, n, it->second.seed, it->second.off + (cur - it->first));
       cur += n;
       ++it;
     } else {
       const std::uint64_t next =
           (it == shadow_.end()) ? end : std::min(end, it->first);
-      pieces[np++] = Piece{false, cur, next - cur, 0, 0};
-      gap_bytes += next - cur;
+      add_gap(cur, next);
       cur = next;
     }
   }
   if (overflow) {
     // Too fragmented for one block's descriptor array: fall back to a
     // plain byte image (shadow interiors read as garbage, which only a
-    // digest lookup could notice — and those fail closed).
-    PayloadRef r = pool_.acquire(len);
-    std::byte* dst =
-        r.buf()->append_bytes_uninit(static_cast<std::uint32_t>(len));
-    cpu_read(addr, {dst, static_cast<std::size_t>(len)});
-    return r;
+    // digest lookup could notice — and those fail closed; pristine
+    // parts read as their zeros).
+    return read_bytes_image(addr, len);
   }
 
   PayloadRef r = pool_.acquire(gap_bytes);
@@ -227,7 +300,10 @@ void NodeMemory::dma_torn_write(std::uint64_t addr, const PayloadRef& p,
     if (pos >= landed) break;
     const std::uint64_t n = std::min<std::uint64_t>(seg.len, landed - pos);
     if (seg.kind == PayloadSeg::Kind::kBytes) {
-      pm_.poke(addr + pos, b->seg_bytes(seg).first(n));
+      // Same bookkeeping as any byte store: the landed bytes clip the
+      // shadow plane and the pristine set (fail closed).
+      write_bytes_nofire(addr + pos, b->seg_bytes(seg).first(n),
+                         WritePath::kNtStore, false);
     } else {
       write_shadow_seg(addr + pos, n, seg.seed, seg.off, WritePath::kNtStore,
                        false);

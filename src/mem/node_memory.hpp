@@ -62,9 +62,19 @@ struct NodeMemoryParams {
 /// entry points: byte extents follow the plain byte paths; shadow
 /// extents update only the shadow content plane (range -> generator
 /// map) with identical timing/accounting and no copies.
+///
+/// In kShadow, memory declared pristine (declare_pristine) that no
+/// byte store has touched since reads back as generated content too,
+/// so reading a never-written object moves no bytes (DESIGN.md §7.3).
 class NodeMemory {
  public:
   static constexpr std::uint64_t kDramBase = 1ull << 40;
+
+  /// Reserved content generator of pristine memory: byte `a` of a
+  /// pristine range is byte `a` of this generator's stream, so any
+  /// slice [a, a+n) is shadow extent (kPristineSeed, off = a). In the
+  /// byte plane it reads as zeros.
+  static constexpr std::uint64_t kPristineSeed = ~0ull;
 
   NodeMemory(sim::Simulator& sim, const NodeMemoryParams& params)
       : mode_(params.content_mode),
@@ -115,12 +125,27 @@ class NodeMemory {
     cpu_read(addr, out);
   }
 
+  // ---- pristine ranges ----
+
+  /// Declares [addr, addr+len) never written: until a byte store
+  /// lands on part of it, that part reads back (read_payload) as
+  /// generator kPristineSeed at stream offset = address. The range
+  /// must still hold zeros, i.e. not have been stored to. A no-op in
+  /// kFull; no device, LLC or counter sees a declaration.
+  void declare_pristine(std::uint64_t addr, std::uint64_t len);
+
+  /// Declared ranges no byte store has clipped yet, as [start, end).
+  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& pristine() const {
+    return pristine_;
+  }
+
   // ---- scatter-gather payload paths ----
 
   /// Reconstructs [addr, addr+len) as a payload image: shadow ranges
-  /// come back as shadow extents (no bytes moved), everything else is
-  /// byte-copied from the coherent view into one pooled block. In
-  /// kFull mode this is exactly "cpu_read into a pooled buffer".
+  /// and pristine ranges come back as shadow extents (no bytes moved),
+  /// everything else is byte-copied from the coherent view into one
+  /// pooled block. In kFull mode this is exactly "cpu_read into a
+  /// pooled buffer".
   [[nodiscard]] PayloadRef read_payload(std::uint64_t addr, std::uint64_t len);
 
   /// CPU store of (a prefix of) a payload image at `addr`; watches
@@ -275,6 +300,17 @@ class NodeMemory {
   /// reusing a recycled map node when one is spare.
   ShadowMap::iterator insert_shadow(ShadowMap::const_iterator hint,
                                     std::uint64_t start, const ShadowRange& r);
+  /// True when [addr, addr+len) meets the hull of the pristine set:
+  /// the one branch a byte store outside every declared range pays.
+  [[nodiscard]] bool touches_pristine(std::uint64_t addr,
+                                      std::uint64_t len) const {
+    return addr < pristine_hi_ && pristine_lo_ < addr + len;
+  }
+  /// Removes [addr, addr+len) from the pristine set.
+  void clip_pristine(std::uint64_t addr, std::uint64_t len);
+  void update_pristine_hull();
+  /// Byte-copies [addr, addr+len) of the coherent view into one block.
+  PayloadRef read_bytes_image(std::uint64_t addr, std::uint64_t len);
   /// Writes min(p.size(), limit) bytes of `p` at `addr`; returns the
   /// count. Watches are NOT fired (callers fire once over the range).
   std::uint64_t write_payload_nofire(std::uint64_t addr, const PayloadRef& p,
@@ -310,6 +346,11 @@ class NodeMemory {
   /// Recycled shadow-plane nodes: the steady-state payload overwrite
   /// cycle performs no map allocations.
   std::vector<ShadowMap::node_type> spare_shadow_;
+  /// kShadow pristine set: disjoint, non-adjacent [start -> end)
+  /// ranges, and their hull [lo, hi) (empty: [0, 0)).
+  std::map<std::uint64_t, std::uint64_t> pristine_;
+  std::uint64_t pristine_lo_ = 0;
+  std::uint64_t pristine_hi_ = 0;
   std::uint64_t next_watch_ = 1;
   std::vector<Watch> watches_;
   std::vector<std::function<void()>> scratch_cbs_;

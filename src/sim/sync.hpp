@@ -33,7 +33,9 @@ class Event {
   /// Re-arms an already fired event.
   void reset() noexcept { set_ = false; }
 
-  [[nodiscard]] std::size_t waiter_count() const noexcept { return waiters_.size(); }
+  [[nodiscard]] std::size_t waiter_count() const noexcept {
+    return (first_ != nullptr ? 1 : 0) + more_.size();
+  }
 
   class Awaiter {
    public:
@@ -41,7 +43,11 @@ class Event {
     bool await_ready() const noexcept { return ev_.set_; }
     void await_suspend(std::coroutine_handle<> h) {
       handle_ = h;
-      ev_.waiters_.push_back(this);
+      if (ev_.first_ == nullptr) {
+        ev_.first_ = this;
+      } else {
+        ev_.more_.push_back(this);
+      }
     }
     bool await_resume() const noexcept { return ok_; }
 
@@ -57,17 +63,26 @@ class Event {
  private:
   void fire(bool ok) {
     if (ok) set_ = true;
-    std::vector<Awaiter*> pending;
-    pending.swap(waiters_);
-    for (Awaiter* w : pending) {
-      w->ok_ = ok;
-      sim_.schedule(0, [h = w->handle_] { h.resume(); });
-    }
+    Awaiter* const first = std::exchange(first_, nullptr);
+    if (first == nullptr) return;
+    std::vector<Awaiter*> more;
+    more.swap(more_);
+    resume_later(first, ok);
+    for (Awaiter* w : more) resume_later(w, ok);
+  }
+
+  void resume_later(Awaiter* w, bool ok) {
+    w->ok_ = ok;
+    sim_.schedule(0, [h = w->handle_] { h.resume(); });
   }
 
   Simulator& sim_;
   bool set_ = false;
-  std::vector<Awaiter*> waiters_;
+  /// Waiters in arrival order: the first inline (most events have
+  /// exactly one, and a fresh Event per wait must not allocate), the
+  /// rest in `more_`, which is empty whenever `first_` is null.
+  Awaiter* first_ = nullptr;
+  std::vector<Awaiter*> more_;
 };
 
 /// Unbounded FIFO channel between simulation tasks.

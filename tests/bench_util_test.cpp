@@ -137,6 +137,51 @@ TEST(RunMicro, BatchMultipliesProcessedOps) {
   EXPECT_EQ(res.server.ops_processed, 160u);
 }
 
+TEST(RunMicro, ShadowReadPathMatchesFullAndCopiesOnlyHeaders) {
+  // Read-only cells read objects no op has written: in kShadow they
+  // come back as pristine generated content (DESIGN.md §7.3), so the
+  // simulation must stay identical to kFull while the bytes copied per
+  // op stay header-sized, whatever the object size.
+  constexpr double kHeaderBytesPerOp = 1024;
+  for (const auto sys : {rpcs::System::kFaRM, rpcs::System::kWFlushRpc}) {
+    std::vector<std::uint64_t> copied;  // kShadow, per object size
+    for (const std::uint32_t size : {64u, 65536u}) {
+      MicroConfig cfg;
+      cfg.object_size = size;
+      cfg.ops = 200;
+      cfg.read_ratio = 1.0;
+      cfg.content_mode = mem::ContentMode::kFull;
+      const auto full = run_micro(sys, cfg);
+      cfg.content_mode = mem::ContentMode::kShadow;
+      const auto shadow = run_micro(sys, cfg);
+      const std::string cell =
+          std::string(rpcs::name_of(sys)) + "/" + std::to_string(size);
+      EXPECT_EQ(shadow.ops_completed, 200u) << cell;
+      EXPECT_EQ(shadow.ops_completed, full.ops_completed) << cell;
+      EXPECT_EQ(shadow.duration, full.duration) << cell;
+      EXPECT_EQ(shadow.sim_events, full.sim_events) << cell;
+      EXPECT_DOUBLE_EQ(shadow.kops, full.kops) << cell;
+      EXPECT_EQ(shadow.latency.count(), full.latency.count()) << cell;
+      EXPECT_EQ(shadow.latency.sum(), full.latency.sum()) << cell;
+      EXPECT_EQ(shadow.latency.p99(), full.latency.p99()) << cell;
+      EXPECT_EQ(shadow.read_latency.sum(), full.read_latency.sum()) << cell;
+      EXPECT_EQ(shadow.server.ops_processed, full.server.ops_processed) << cell;
+      EXPECT_EQ(shadow.server.critical_sw_ns, full.server.critical_sw_ns)
+          << cell;
+      EXPECT_DOUBLE_EQ(shadow.sender_sw_ns, full.sender_sw_ns) << cell;
+      EXPECT_DOUBLE_EQ(shadow.receiver_sw_ns, full.receiver_sw_ns) << cell;
+      EXPECT_EQ(shadow.pool.acquires, full.pool.acquires) << cell;
+      const double copied_per_op =
+          static_cast<double>(shadow.bytes_copied) / 200.0;
+      EXPECT_LT(copied_per_op, kHeaderBytesPerOp) << cell;
+      EXPECT_GT(static_cast<double>(full.bytes_copied) / 200.0, size) << cell;
+      copied.push_back(shadow.bytes_copied);
+    }
+    EXPECT_EQ(copied[0], copied[1])
+        << rpcs::name_of(sys) << ": kShadow copies must not scale with size";
+  }
+}
+
 // ----------------------------------------------------------------- table
 
 TEST(TablePrinter, AlignsColumnsAndSeparates) {

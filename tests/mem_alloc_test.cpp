@@ -73,6 +73,46 @@ TEST(MemAlloc, ShadowPayloadCycleIsAllocationFree) {
   EXPECT_EQ(read_bytes, 1240 * kObject);
 }
 
+TEST(MemAlloc, PristineReadStageDmaCycleIsAllocationFree) {
+  // The read path of an RPC over never-written objects (DESIGN.md
+  // §7.3): object -> staging buffer (CPU copy plus an 8-byte trailer
+  // word) -> RNIC read of the staged response -> DMA into the client's
+  // buffer on another node. The objects are pristine, so once warm the
+  // cycle allocates nothing and copies only the trailer words.
+  sim::Simulator sim;
+  NodeMemoryParams params;
+  params.pm_capacity = 1 << 23;
+  params.dram_capacity = 1 << 20;
+  params.content_mode = ContentMode::kShadow;
+  NodeMemory server(sim, params);
+  NodeMemory client(sim, params);
+  constexpr std::uint64_t kObjects = 64;
+  const std::uint64_t stage = kObjects * kObject;
+  server.declare_pristine(0, kObjects * kObject);
+
+  const std::vector<std::byte> trailer(8, std::byte{0x7E});
+  const auto cycle = [&](std::uint64_t i) {
+    const std::uint64_t obj = (i * 37) % kObjects * kObject;
+    server.cpu_write_payload(stage, server.read_payload(obj, kObject));
+    server.cpu_write(stage + kObject, trailer);
+    const PayloadRef resp = server.read_payload(stage, kObject + 8);
+    client.dma_write_payload((i % 4) * 2 * kObject, resp, /*ddio=*/true);
+  };
+  for (std::uint64_t i = 0; i < 240; ++i) cycle(i);  // warm-up
+
+  const std::uint64_t copied0 =
+      server.pm().bytes_copied() + client.pm().bytes_copied();
+  const std::uint64_t before = g_allocs.load();
+  for (std::uint64_t i = 240; i < 1240; ++i) cycle(i);
+  EXPECT_EQ(g_allocs.load() - before, 0u)
+      << "steady-state pristine read cycle allocated";
+  const std::uint64_t copied =
+      server.pm().bytes_copied() + client.pm().bytes_copied() - copied0;
+  EXPECT_LE(copied, 1000 * 4 * kCacheLine)
+      << "only trailer lines may move bytes";
+  EXPECT_EQ(server.pristine().size(), 1u);
+}
+
 TEST(MemAlloc, ByteStoreFlushCycleIsAllocationFree) {
   sim::Simulator sim;
   PmDevice pm(sim, "pm", 1 << 20, DeviceTiming{170, 90, 6.6e9, 12e9});

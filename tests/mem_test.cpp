@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -916,6 +917,452 @@ TEST(ShadowPlane, FullModeNeverTracksDigests) {
   PayloadRef r = mem.pool().make_bytes(pattern(256));
   mem.cpu_write_payload(4096, r);
   EXPECT_FALSE(mem.shadow_digest_at(4096, 256).has_value());
+}
+
+
+TEST(ShadowPlane, TornWriteBytesTrimTheShadowPlane) {
+  // The landed byte prefix of a torn DMA is byte content like any other
+  // store: a shadow extent it overlaps must stop vouching for the range.
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  PayloadRef r = mem.pool().acquire(0);
+  r.buf()->append_shadow(1024, /*seed=*/42, /*off=*/0);
+  mem.cpu_write_payload(4096, r);
+  (void)mem.clflush(0, 4096, 1024);
+  ASSERT_TRUE(mem.shadow_digest_at(4096, 1024).has_value());
+  const std::vector<std::byte> data = pattern(256);
+  const PayloadRef torn = mem.pool().make_bytes(data);
+  mem.dma_torn_write(4096, torn, torn.size(), /*persisted_bytes=*/128);
+  EXPECT_FALSE(mem.shadow_digest_at(4096, 1024).has_value());
+  std::vector<std::byte> out(128);
+  mem.cpu_read(4096, out);
+  EXPECT_EQ(out, std::vector<std::byte>(data.begin(), data.begin() + 128));
+}
+
+// ------------------------------------------------------ pristine ranges
+
+/// Per-byte reference of what read_payload returns in kShadow: which
+/// store owns each byte (a pristine declaration, a byte store or a
+/// shadow extent), the generator position of generated bytes and the
+/// value of stored ones.
+class ContentRef {
+ public:
+  enum class Owner : std::uint8_t { kPristine, kBytes, kShadow };
+  struct Cell {
+    Owner owner = Owner::kBytes;
+    bool exact = true;  ///< kBytes: `value` is what a read returns
+    std::byte value{0};
+    std::uint64_t seed = 0;  ///< generated bytes: generator and offset
+    std::uint64_t off = 0;
+    /// Declared pristine and no byte store since: shadow extents
+    /// overlay a pristine range without removing it from the set.
+    bool pristine = false;
+  };
+
+  explicit ContentRef(std::size_t n) : cells_(n) {}
+
+  [[nodiscard]] const Cell& at(std::uint64_t a) const { return cells_.at(a); }
+
+  void declare_pristine(std::uint64_t a, std::uint64_t n) {
+    for (std::uint64_t i = a; i < a + n; ++i) {
+      cells_.at(i) = Cell{Owner::kPristine, true, std::byte{0},
+                          NodeMemory::kPristineSeed, i, true};
+    }
+  }
+
+  /// Lands `cells` at [a, a + cells.size()). Through the LLC
+  /// (`cached`) a shadow extent leaves the other bytes of a line it
+  /// dirties from clean reading as zeros until write-back — shadow-only
+  /// lines hold no content (LlcModel.CoherentReadOfShadowLineIsZeros).
+  /// The reference does not track dirtiness, so stored bytes around
+  /// such a line become unknown; bytes the same store lands stay exact.
+  void store(std::uint64_t a, const std::vector<Cell>& cells, bool cached) {
+    const std::uint64_t end = a + cells.size();
+    for (std::uint64_t i = 0; i < cells.size(); ++i) {
+      Cell& c = cells_.at(a + i);
+      const bool keeps_pristine = c.pristine && cells[i].owner == Owner::kShadow;
+      c = cells[i];
+      c.pristine = keeps_pristine;
+    }
+    if (!cached) return;
+    for (std::uint64_t i = a; i < end; ++i) {
+      if (cells_[i].owner != Owner::kShadow) continue;
+      for (std::uint64_t j = line_down(i);
+           j < std::min<std::uint64_t>(line_down(i) + kCacheLine, cells_.size());
+           ++j) {
+        if ((j < a || j >= end) && cells_[j].owner == Owner::kBytes) {
+          cells_[j].exact = false;
+        }
+      }
+    }
+  }
+
+  /// The segments an exact read of [a, a+n) reconstructs: maximal runs
+  /// of one owner and, for generated bytes, one contiguous stream.
+  [[nodiscard]] std::vector<PayloadSeg> expected_segs(std::uint64_t a,
+                                                      std::uint64_t n) const {
+    std::vector<PayloadSeg> out;
+    for (std::uint64_t i = a; i < a + n; ++i) {
+      const Cell& c = cells_.at(i);
+      const bool gen = c.owner != Owner::kBytes;
+      if (!out.empty()) {
+        PayloadSeg& last = out.back();
+        const bool last_gen = last.kind == PayloadSeg::Kind::kShadow;
+        if (gen == last_gen &&
+            (!gen || (last.seed == c.seed && last.off + last.len == c.off))) {
+          ++last.len;
+          continue;
+        }
+      }
+      out.push_back(PayloadSeg{
+          gen ? PayloadSeg::Kind::kShadow : PayloadSeg::Kind::kBytes, 1, 0,
+          gen ? c.seed : 0, gen ? c.off : 0});
+    }
+    return out;
+  }
+
+  /// Maximal pristine runs, as NodeMemory::pristine() reports them.
+  [[nodiscard]] std::map<std::uint64_t, std::uint64_t> pristine() const {
+    std::map<std::uint64_t, std::uint64_t> out;
+    for (std::uint64_t i = 0; i < cells_.size(); ++i) {
+      if (!cells_[i].pristine) continue;
+      if (!out.empty() && std::prev(out.end())->second == i) {
+        ++std::prev(out.end())->second;
+      } else {
+        out.emplace(i, i + 1);
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::vector<Cell> cells_;
+};
+
+using Owner = ContentRef::Owner;
+
+/// Reference cells of (a prefix of) a payload image as a store lands it.
+std::vector<ContentRef::Cell> cells_of(const PayloadRef& p,
+                                       std::uint64_t limit = UINT64_MAX) {
+  std::vector<ContentRef::Cell> out;
+  for (const PayloadSeg& seg : p.segs()) {
+    for (std::uint32_t i = 0; i < seg.len && out.size() < limit; ++i) {
+      if (seg.kind == PayloadSeg::Kind::kBytes) {
+        out.push_back({Owner::kBytes, true, p.buf()->seg_bytes(seg)[i], 0, 0});
+      } else {
+        out.push_back({Owner::kShadow, true, std::byte{0}, seg.seed,
+                       seg.off + i});
+      }
+    }
+  }
+  return out;
+}
+
+/// Checks a read_payload image of [a, a+n) against the reference:
+/// segment for segment when the range fits one block's descriptors,
+/// else the byte-image fallback (pristine bytes read as zeros there).
+::testing::AssertionResult read_matches(const PayloadRef& got,
+                                        const ContentRef& ref,
+                                        std::uint64_t a, std::uint64_t n) {
+  const std::vector<PayloadSeg> want = ref.expected_segs(a, n);
+  if (got.size() != n) {
+    return ::testing::AssertionFailure() << "image of " << got.size()
+                                         << " bytes, want " << n;
+  }
+  const auto check_bytes = [&](std::span<const std::byte> bytes,
+                               std::uint64_t at) -> ::testing::AssertionResult {
+    for (std::uint64_t i = 0; i < bytes.size(); ++i) {
+      const ContentRef::Cell& c = ref.at(at + i);
+      const bool known = c.owner == Owner::kPristine ||
+                         (c.owner == Owner::kBytes && c.exact);
+      if (known && bytes[i] != c.value) {
+        return ::testing::AssertionFailure()
+               << "byte at " << at + i << " reads "
+               << static_cast<int>(bytes[i]) << ", want "
+               << static_cast<int>(c.value);
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+  if (want.size() > PayloadBuf::kMaxSegs) {
+    if (!got.contiguous_bytes()) {
+      return ::testing::AssertionFailure()
+             << want.size() << " runs must fall back to one byte image";
+    }
+    return check_bytes(got.bytes(), a);
+  }
+  if (got.seg_count() != want.size()) {
+    return ::testing::AssertionFailure() << got.seg_count() << " segments, want "
+                                         << want.size() << " at " << a;
+  }
+  std::uint64_t at = a;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const PayloadSeg& g = got.segs()[k];
+    const PayloadSeg& w = want[k];
+    if (g.kind != w.kind || g.len != w.len ||
+        (w.kind == PayloadSeg::Kind::kShadow &&
+         (g.seed != w.seed || g.off != w.off))) {
+      return ::testing::AssertionFailure()
+             << "segment " << k << " at " << at << ": kind "
+             << static_cast<int>(g.kind) << " len " << g.len << " seed "
+             << g.seed << " off " << g.off << ", want kind "
+             << static_cast<int>(w.kind) << " len " << w.len << " seed "
+             << w.seed << " off " << w.off;
+    }
+    if (g.kind == PayloadSeg::Kind::kBytes) {
+      if (auto r = check_bytes(got.buf()->seg_bytes(g), at); !r) return r;
+    }
+    at += g.len;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(NodeMemoryPristine, MatchesPerByteReference) {
+  // Seeded mixes of byte, DMA, shadow and torn stores, copies and
+  // flushes over a window with pristine declarations; every read must
+  // reconstruct exactly what the per-byte reference says, and the
+  // pristine set must be the reference's pristine runs after every op.
+  constexpr std::uint64_t kWindow = 16 * 1024;
+  // How often reads met each shape, so the mix provably covers them.
+  std::uint64_t pristine_segs = 0;
+  std::uint64_t mixed_reads = 0;
+  std::uint64_t fallback_reads = 0;
+  const auto tally = [&](const PayloadRef& img) {
+    if (img.seg_count() >= 3) ++mixed_reads;
+    for (const PayloadSeg& seg : img.segs()) {
+      if (seg.kind == PayloadSeg::Kind::kShadow &&
+          seg.seed == NodeMemory::kPristineSeed) {
+        ++pristine_segs;
+      }
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    OpRng rng{seed};
+    Simulator sim;
+    NodeMemoryParams params = small_params(ContentMode::kShadow);
+    params.llc.capacity_lines = 4 + rng.below(28);  // exercise evictions
+    NodeMemory mem(sim, params);
+    ContentRef ref(kWindow);
+
+    // Ranges that overlap, touch or stand alone.
+    for (int d = 0; d < 5; ++d) {
+      const std::uint64_t a = rng.below(kWindow - 1);
+      const std::uint64_t n = 1 + rng.below(std::min<std::uint64_t>(
+                                      kWindow - a, 4096));
+      mem.declare_pristine(a, n);
+      ref.declare_pristine(a, n);
+    }
+    mem.declare_pristine(9000, 500);  // touches the next one: merged
+    mem.declare_pristine(9500, 300);
+    ref.declare_pristine(9000, 800);
+    ASSERT_EQ(mem.pristine(), ref.pristine()) << "seed " << seed;
+
+    std::uint64_t next_seed = 1000;
+    const auto random_range = [&](std::uint64_t max_len) {
+      const std::uint64_t a = rng.below(kWindow - 1);
+      const std::uint64_t n =
+          1 + rng.below(std::min<std::uint64_t>(kWindow - a, max_len));
+      return std::pair{a, n};
+    };
+    const auto random_image = [&](std::uint64_t n) {
+      // Bytes and shadow extents in random order, each its own stream.
+      PayloadRef p = mem.pool().acquire(n);
+      std::uint64_t left = n;
+      for (std::uint32_t k = 0; k < 3 && left > 0; ++k) {
+        const std::uint64_t len = k == 2 ? left : 1 + rng.below(left);
+        if (rng.below(2) == 0) {
+          p.buf()->append_bytes(pattern(len, static_cast<int>(rng.below(200))));
+        } else {
+          p.buf()->append_shadow(static_cast<std::uint32_t>(len), next_seed++,
+                                 rng.below(1 << 20));
+        }
+        left -= len;
+      }
+      return p;
+    };
+
+    for (int op = 0; op < 600; ++op) {
+      const std::uint64_t kind = rng.below(9);
+      if (kind == 0) {  // CPU byte store
+        const auto [a, n] = random_range(300);
+        const auto data = pattern(n, static_cast<int>(rng.below(200)));
+        mem.cpu_write(a, data);
+        ref.store(a, cells_of(mem.pool().make_bytes(data)), true);
+      } else if (kind == 1) {  // DMA byte store, with or without DDIO
+        const auto [a, n] = random_range(300);
+        const bool ddio = rng.below(2) == 0;
+        // A DMA that bypasses the LLC meets no dirty line over its
+        // range (the model keeps no coherence between the two).
+        if (!ddio) (void)mem.clflush(0, a, n);
+        const auto data = pattern(n, static_cast<int>(rng.below(200)));
+        mem.dma_write(a, data, ddio);
+        ref.store(a, cells_of(mem.pool().make_bytes(data)), ddio);
+      } else if (kind <= 3) {  // payload image on one of the three paths
+        const auto [a, n] = random_range(2000);
+        const PayloadRef img = random_image(n);
+        const std::uint64_t path = rng.below(4);
+        if (path >= 2) (void)mem.clflush(0, a, n);
+        if (path == 0) mem.cpu_write_payload(a, img);
+        if (path == 1) mem.dma_write_payload(a, img, /*ddio=*/true);
+        if (path == 2) mem.dma_write_payload(a, img, /*ddio=*/false);
+        if (path == 3) mem.poke_payload_pm(a, img);
+        ref.store(a, cells_of(img), path <= 1);
+      } else if (kind == 4) {  // torn landing of an in-flight DMA
+        const auto [a, n] = random_range(2000);
+        const PayloadRef img = random_image(n);
+        const std::uint64_t persisted = rng.below(n + 1);
+        (void)mem.clflush(0, a, n);
+        mem.dma_torn_write(a, img, n, persisted);
+        ref.store(a, cells_of(img, line_down(persisted)), false);
+      } else if (kind == 5) {  // read + copy, as ObjectStore::read_into
+        const auto [src, n] = random_range(2000);
+        const std::uint64_t dst = rng.below(kWindow - n + 1);
+        const PayloadRef img = mem.read_payload(src, n);
+        ASSERT_TRUE(read_matches(img, ref, src, n))
+            << "seed " << seed << " op " << op;
+        tally(img);
+        std::vector<ContentRef::Cell> cells = cells_of(img);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          // A byte image carries unknown bytes wherever the source was
+          // generated content other than pristine zeros.
+          const ContentRef::Cell& c = ref.at(src + i);
+          cells[i].exact = cells[i].owner != Owner::kBytes ||
+                           c.owner != Owner::kShadow;
+          if (cells[i].owner == Owner::kBytes && c.owner == Owner::kBytes) {
+            cells[i].exact = c.exact;
+          }
+        }
+        mem.cpu_write_payload(dst, img);
+        ref.store(dst, cells, true);
+      } else if (kind == 6) {
+        const auto [a, n] = random_range(4000);
+        (void)mem.clflush(0, a, n);
+      } else {
+        const auto [a, n] = random_range(4000);
+        const PayloadRef img = mem.read_payload(a, n);
+        ASSERT_TRUE(read_matches(img, ref, a, n))
+            << "seed " << seed << " op " << op;
+        tally(img);
+        if (ref.expected_segs(a, n).size() > PayloadBuf::kMaxSegs) {
+          ++fallback_reads;
+        }
+      }
+      ASSERT_EQ(mem.pristine(), ref.pristine())
+          << "seed " << seed << " op " << op;
+    }
+  }
+  EXPECT_GT(pristine_segs, 100u);
+  EXPECT_GT(mixed_reads, 100u);
+  EXPECT_GT(fallback_reads, 10u);
+}
+
+TEST(NodeMemoryPristine, ReadOfDeclaredRangeMovesNoBytes) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  mem.declare_pristine(4096, 65536);
+  const std::uint64_t copied0 = mem.pm().bytes_copied();
+  const PayloadRef r = mem.read_payload(8192, 4096);
+  EXPECT_EQ(mem.pm().bytes_copied(), copied0);
+  ASSERT_EQ(r.seg_count(), 1u);
+  EXPECT_EQ(r.segs()[0].kind, PayloadSeg::Kind::kShadow);
+  EXPECT_EQ(r.segs()[0].seed, NodeMemory::kPristineSeed);
+  EXPECT_EQ(r.segs()[0].off, 8192u) << "stream offset is the address";
+  EXPECT_EQ(r.buf()->data_used, 0u);
+  // Copied elsewhere, the slice keeps its generator position: digests
+  // of pristine slices compose like any other stream.
+  mem.cpu_write_payload(200000, r);
+  EXPECT_EQ(mem.shadow_digest_at(200000, 4096),
+            shadow_digest(NodeMemory::kPristineSeed, 8192, 4096));
+}
+
+TEST(NodeMemoryPristine, PartialOverlapsAtBothEndsClipTheRange) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  mem.declare_pristine(1000, 4000);  // [1000, 5000)
+  mem.cpu_write(900, pattern(200, 3));   // [900, 1100)
+  mem.dma_write(4900, pattern(200, 4), /*ddio=*/true);  // [4900, 5100)
+  const std::map<std::uint64_t, std::uint64_t> want{{1100, 4900}};
+  EXPECT_EQ(mem.pristine(), want);
+
+  const PayloadRef r = mem.read_payload(900, 4200);
+  ASSERT_EQ(r.seg_count(), 3u);
+  EXPECT_EQ(r.segs()[0].kind, PayloadSeg::Kind::kBytes);
+  EXPECT_EQ(as_vector(r.buf()->seg_bytes(r.segs()[0])), pattern(200, 3));
+  EXPECT_EQ(r.segs()[1].kind, PayloadSeg::Kind::kShadow);
+  EXPECT_EQ(r.segs()[1].len, 3800u);
+  EXPECT_EQ(r.segs()[1].off, 1100u);
+  EXPECT_EQ(as_vector(r.buf()->seg_bytes(r.segs()[2])), pattern(200, 4));
+}
+
+TEST(NodeMemoryPristine, StoreThatExactlyCoversTheRangeRemovesIt) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  mem.declare_pristine(4096, 4096);
+  mem.cpu_write(4096, pattern(4096, 7));
+  EXPECT_TRUE(mem.pristine().empty());
+  const PayloadRef r = mem.read_payload(4096, 4096);
+  ASSERT_TRUE(r.contiguous_bytes());
+  EXPECT_EQ(as_vector(r.bytes()), pattern(4096, 7));
+}
+
+TEST(NodeMemoryPristine, StoreStraddlingTwoRangesClipsBoth) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  mem.declare_pristine(0x1000, 0x1000);
+  mem.declare_pristine(0x3000, 0x1000);
+  mem.cpu_write(0x1800, pattern(0x2000, 5));  // [0x1800, 0x3800)
+  const std::map<std::uint64_t, std::uint64_t> want{{0x1000, 0x1800},
+                                                    {0x3800, 0x4000}};
+  EXPECT_EQ(mem.pristine(), want);
+  const PayloadRef r = mem.read_payload(0x1000, 0x3000);
+  ASSERT_EQ(r.seg_count(), 3u);
+  EXPECT_EQ(r.segs()[0].kind, PayloadSeg::Kind::kShadow);
+  EXPECT_EQ(r.segs()[1].kind, PayloadSeg::Kind::kBytes);
+  EXPECT_EQ(r.segs()[2].kind, PayloadSeg::Kind::kShadow);
+  EXPECT_EQ(r.segs()[2].off, 0x3800u);
+}
+
+TEST(NodeMemoryPristine, ShadowStoresWinAndLeaveTheSetAlone) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  mem.declare_pristine(0, 8192);
+  PayloadRef img = mem.pool().acquire(0);
+  img.buf()->append_shadow(1000, /*seed=*/5, /*off=*/0);
+  mem.cpu_write_payload(2000, img);
+  const std::map<std::uint64_t, std::uint64_t> want{{0, 8192}};
+  EXPECT_EQ(mem.pristine(), want);
+  const PayloadRef r = mem.read_payload(0, 8192);
+  ASSERT_EQ(r.seg_count(), 3u);
+  EXPECT_EQ(r.segs()[1].seed, 5u);
+  EXPECT_EQ(r.segs()[2].off, 3000u);
+}
+
+TEST(NodeMemoryPristine, TornWriteBytesClipTheRange) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  mem.declare_pristine(8192, 4096);
+  const PayloadRef torn = mem.pool().make_bytes(pattern(1000, 9));
+  mem.dma_torn_write(8192, torn, torn.size(), /*persisted_bytes=*/300);
+  // The line-aligned 256-byte prefix landed; the rest stays pristine.
+  const std::map<std::uint64_t, std::uint64_t> want{{8192 + 256, 12288}};
+  EXPECT_EQ(mem.pristine(), want);
+  const PayloadRef r = mem.read_payload(8192, 256);
+  ASSERT_TRUE(r.contiguous_bytes());
+  const std::vector<std::byte> landed = pattern(1000, 9);
+  EXPECT_EQ(as_vector(r.bytes()),
+            std::vector<std::byte>(landed.begin(), landed.begin() + 256));
+}
+
+TEST(NodeMemoryPristine, FullModeDeclarationIsANoOp) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kFull));
+  mem.declare_pristine(4096, 65536);
+  EXPECT_TRUE(mem.pristine().empty());
+  const std::uint64_t copied0 = mem.pm().bytes_copied();
+  const PayloadRef r = mem.read_payload(4096, 4096);
+  EXPECT_EQ(mem.pm().bytes_copied(), copied0 + 4096) << "kFull reads copy";
+  ASSERT_TRUE(r.contiguous_bytes());
+  EXPECT_EQ(as_vector(r.bytes()), std::vector<std::byte>(4096));
 }
 
 }  // namespace

@@ -652,16 +652,20 @@ TEST(Task, MoveOnlyResultTypesWork) {
 TEST(Event, WaitersResumeOnSet) {
   Simulator sim;
   Event ev(sim);
-  int resumed = 0;
+  std::vector<int> resumed;  // in resume order
   for (int i = 0; i < 3; ++i) {
-    spawn([](Event& e, int& n) -> Task<> {
+    spawn([](Event& e, std::vector<int>& out, int id) -> Task<> {
       const bool ok = co_await e.wait();
-      if (ok) ++n;
-    }(ev, resumed));
+      if (ok) out.push_back(id);
+    }(ev, resumed, i));
   }
-  sim.schedule(50, [&] { ev.set(); });
+  sim.schedule(50, [&] {
+    EXPECT_EQ(ev.waiter_count(), 3u);
+    ev.set();
+    EXPECT_EQ(ev.waiter_count(), 0u);
+  });
   sim.run();
-  EXPECT_EQ(resumed, 3);
+  EXPECT_EQ(resumed, (std::vector<int>{0, 1, 2})) << "arrival order";
   EXPECT_TRUE(ev.is_set());
 }
 
