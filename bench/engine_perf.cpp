@@ -26,7 +26,9 @@
 //     asserting byte-identical stats, recording bytes-copied/op and
 //     wall speedup, and gating zero steady-state allocations per
 //     durable RPC (event pool + InlineFunction + payload-pool slabs
-//     all flat between an N-op and a 2N-op run); plus the pinned cost
+//     all flat between an N-op and a 2N-op run), and recording the
+//     whole-process count over the same extra ops (a counting global
+//     operator new, below); plus the pinned cost
 //     of a fabric link-table lookup (flat open addressing — the
 //     per-packet hot path).
 //  6. Partitioned engine scaling (PR 7, DESIGN.md §7.5): a 64-node
@@ -45,10 +47,13 @@
 //        --out-dataplane=PATH (default BENCH_dataplane.json)
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +72,74 @@
 #include "trace/tracer.hpp"
 
 using namespace prdma;
+
+namespace {
+
+// Every global operator new of the process is counted, so the data
+// plane section can report whole-process allocations per RPC, not just
+// the engine's own pools.
+std::atomic<std::uint64_t> g_process_allocs{0};
+
+void* counted_new(std::size_t n) {
+  g_process_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_new(std::size_t n, std::align_val_t al) {
+  g_process_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, n == 0 ? a : (n + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+std::uint64_t process_allocs() {
+  return g_process_allocs.load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  return counted_new(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return counted_new(n, al);
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -395,6 +468,7 @@ int main(int argc, char** argv) {
     bench::MicroResult res;
     double secs = 0.0;
     std::uint64_t fn_allocs = 0;
+    std::uint64_t process_allocs = 0;
   };
   const auto run_plane = [&micro_ops](std::uint64_t size, mem::ContentMode mode,
                                       std::uint64_t ops = 0,
@@ -407,10 +481,12 @@ int main(int argc, char** argv) {
     PlaneCell c;
     c.size = size;
     const std::uint64_t h0 = sim::inline_fn_heap_allocs();
+    const std::uint64_t a0 = process_allocs();
     const auto t0 = std::chrono::steady_clock::now();
     c.res = bench::run_micro(rpcs::System::kWFlushRpc, cfg);
     c.secs = wall_seconds_since(t0);
     c.fn_allocs = sim::inline_fn_heap_allocs() - h0;
+    c.process_allocs = process_allocs() - a0;
     return c;
   };
 
@@ -510,6 +586,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(steady_fn),
               static_cast<unsigned long long>(steady_slab),
               plane_steady ? "OK" : "REGRESSED");
+  // The whole process, setup included: setup is the same in both runs,
+  // so the difference is what the extra ops allocate (mostly protocol
+  // coroutine frames, DESIGN.md §7.3).
+  const double process_allocs_per_rpc =
+      static_cast<double>(twice.process_allocs - base.process_allocs) /
+      static_cast<double>(std::max<std::uint64_t>(extra_ops, 1));
+  std::printf("  whole-process allocs/durable RPC over the same ops: %.3f\n",
+              process_allocs_per_rpc);
   std::printf("  mode parity (stats byte-identical shadow vs full): %s\n\n",
               plane_parity ? "yes" : "NO — DIVERGED");
 
@@ -691,6 +775,8 @@ int main(int argc, char** argv) {
       .set("steady_event_pool_allocs", bench::Json::num(steady_pool))
       .set("steady_fn_heap_allocs", bench::Json::num(steady_fn))
       .set("steady_payload_slab_bytes", bench::Json::num(steady_slab))
+      .set("steady_process_allocs_per_rpc",
+           bench::Json::num(process_allocs_per_rpc))
       .set("steady_ok", bench::Json::boolean(plane_steady))
       .set("link_lookup_ns_per_op", bench::Json::num(link_lookup_ns));
   if (!bench::emit_json(out_dataplane, dp)) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 
 #include "sim/rng.hpp"
@@ -41,7 +42,6 @@ class Host {
   [[nodiscard]] const HostParams& params() const { return params_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
-  [[nodiscard]] sim::Semaphore& cores() { return cores_; }
 
   void set_load(double load) { load_ = load < 0.0 ? 0.0 : load; }
   [[nodiscard]] double load() const { return load_; }
@@ -62,35 +62,59 @@ class Host {
     return static_cast<sim::SimTime>(static_cast<double>(c) * mult);
   }
 
-  /// Occupies one core for the scaled cost (queues if all cores busy).
-  sim::Task<> exec(sim::SimTime base_cost) {
-    co_await cores_.acquire();
-    sim::SemaphoreGuard guard(cores_);
-    const sim::SimTime c = scaled(base_cost);
-    charged_ += c;
-    if (tracer_) {
-      tracer_->span(trace_role_, 0, sim_.now(), sim_.now() + c, trace_track_);
+  /// Occupies one core for the scaled cost (queues FIFO if all cores
+  /// are busy). The awaiter lives in the caller's frame, so a charge
+  /// allocates nothing.
+  class ExecAwaiter : sim::Semaphore::Waiter {
+   public:
+    ExecAwaiter(Host& host, sim::SimTime base_cost) noexcept
+        : Waiter{nullptr, &grant}, host_(host), base_cost_(base_cost) {}
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle_ = h;
+      if (host_.cores_.try_acquire()) {
+        start();
+      } else {
+        host_.cores_.park(*this);
+      }
     }
-    co_await sim::delay(sim_, c);
+    void await_resume() const noexcept {}
+
+   private:
+    static void grant(Waiter* w) { static_cast<ExecAwaiter*>(w)->start(); }
+
+    /// Runs once a core is held: the jitter draw happens here, at grant
+    /// time. The core is released before the caller resumes, so a
+    /// queued waiter's handoff is scheduled ahead of anything the
+    /// caller schedules next.
+    void start() {
+      host_.sim_.schedule(host_.charge(base_cost_), [this] {
+        host_.cores_.release();
+        handle_.resume();
+      });
+    }
+
+    Host& host_;
+    sim::SimTime base_cost_;
+    std::coroutine_handle<> handle_{};
+  };
+
+  [[nodiscard]] ExecAwaiter exec(sim::SimTime base_cost) {
+    return ExecAwaiter{*this, base_cost};
   }
 
   /// Time passes but no core is consumed (e.g. waiting on a doorbell
   /// that another model component accounts for).
-  sim::Task<> sleep(sim::SimTime base_cost) {
-    const sim::SimTime c = scaled(base_cost);
-    charged_ += c;
-    if (tracer_) {
-      tracer_->span(trace_role_, 0, sim_.now(), sim_.now() + c, trace_track_);
-    }
-    co_await sim::delay(sim_, c);
+  [[nodiscard]] sim::DelayAwaiter sleep(sim::SimTime base_cost) {
+    return sim::delay(sim_, charge(base_cost));
   }
 
   /// Total software time charged on this host (Fig. 20 accounting).
   [[nodiscard]] std::uint64_t charged_ns() const { return charged_; }
 
   /// CPU memcpy of `bytes` (core-occupying).
-  sim::Task<> memcpy_exec(std::uint64_t bytes) {
-    co_await exec(sim::transfer_time(bytes, params_.memcpy_bw_bytes_per_s));
+  [[nodiscard]] ExecAwaiter memcpy_exec(std::uint64_t bytes) {
+    return exec(memcpy_cost(bytes));
   }
 
   [[nodiscard]] sim::SimTime memcpy_cost(std::uint64_t bytes) const {
@@ -98,11 +122,24 @@ class Host {
   }
 
   // Convenience costed paths used by every protocol implementation.
-  sim::Task<> charge_post() { co_await exec(params_.post_cost); }
-  sim::Task<> charge_poll() { co_await exec(params_.poll_cost); }
-  sim::Task<> charge_recv_handler() { co_await exec(params_.recv_handler_cost); }
+  [[nodiscard]] ExecAwaiter charge_post() { return exec(params_.post_cost); }
+  [[nodiscard]] ExecAwaiter charge_poll() { return exec(params_.poll_cost); }
+  [[nodiscard]] ExecAwaiter charge_recv_handler() {
+    return exec(params_.recv_handler_cost);
+  }
 
  private:
+  /// Draws the scaled cost of `base_cost`, books it and traces it as a
+  /// span starting now.
+  sim::SimTime charge(sim::SimTime base_cost) {
+    const sim::SimTime c = scaled(base_cost);
+    charged_ += c;
+    if (tracer_) {
+      tracer_->span(trace_role_, 0, sim_.now(), sim_.now() + c, trace_track_);
+    }
+    return c;
+  }
+
   sim::Simulator& sim_;
   sim::Rng& rng_;
   HostParams params_;

@@ -85,6 +85,41 @@ class Event {
   std::vector<Awaiter*> more_;
 };
 
+namespace detail {
+
+/// FIFO of parked waiters linked through their own `next` field. The
+/// nodes live in the waiting coroutines' frames, so parking and
+/// waking never allocate.
+template <typename Node>
+class IntrusiveFifo {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
+
+  void push_back(Node* n) noexcept {
+    n->next = nullptr;
+    if (tail_ != nullptr) {
+      tail_->next = n;
+    } else {
+      head_ = n;
+    }
+    tail_ = n;
+  }
+
+  /// Precondition: !empty().
+  Node* pop_front() noexcept {
+    Node* const n = head_;
+    head_ = n->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    return n;
+  }
+
+ private:
+  Node* head_ = nullptr;
+  Node* tail_ = nullptr;
+};
+
+}  // namespace detail
+
 /// Unbounded FIFO channel between simulation tasks.
 ///
 /// recv() yields std::nullopt once the channel is closed and drained
@@ -101,8 +136,7 @@ class Channel {
   void send(T v) {
     if (closed_) return;  // messages to a closed channel are dropped
     if (!waiters_.empty()) {
-      RecvAwaiter* w = waiters_.front();
-      waiters_.pop_front();
+      RecvAwaiter* w = waiters_.pop_front();
       w->slot_ = std::move(v);
       sim_.schedule(0, [h = w->handle_] { h.resume(); });
       return;
@@ -151,18 +185,21 @@ class Channel {
 
    private:
     friend class Channel;
+    friend class detail::IntrusiveFifo<RecvAwaiter>;
     Channel& ch_;
     std::coroutine_handle<> handle_{};
     std::optional<T> slot_;
+    RecvAwaiter* next = nullptr;
   };
 
   [[nodiscard]] RecvAwaiter recv() noexcept { return RecvAwaiter{*this}; }
 
  private:
+  /// Wakes every waiter in arrival order. Resumption goes through the
+  /// event queue, so none of them can re-park before the list drains.
   void wake_all_empty() {
-    std::deque<RecvAwaiter*> pending;
-    pending.swap(waiters_);
-    for (RecvAwaiter* w : pending) {
+    while (!waiters_.empty()) {
+      RecvAwaiter* w = waiters_.pop_front();
       sim_.schedule(0, [h = w->handle_] { h.resume(); });
     }
   }
@@ -170,26 +207,45 @@ class Channel {
   Simulator& sim_;
   bool closed_ = false;
   std::deque<T> queue_;
-  std::deque<RecvAwaiter*> waiters_;
+  detail::IntrusiveFifo<RecvAwaiter> waiters_;
 };
 
 /// Counting semaphore for tasks; models bounded resources such as CPU
 /// cores, DMA engines and flow-control windows.
+///
+/// A unit freed while tasks wait is handed to the oldest waiter through
+/// a 0-delay event (never inline), without passing through the count.
 class Semaphore {
  public:
+  /// A parked waiter: an intrusive FIFO node that lives in the waiting
+  /// frame. `on_grant` runs from the handoff event once the waiter owns
+  /// a unit. Besides acquire(), host::Host::ExecAwaiter parks this way.
+  struct Waiter {
+    Waiter* next = nullptr;
+    void (*on_grant)(Waiter*) = nullptr;
+  };
+
   Semaphore(Simulator& sim, std::size_t initial) noexcept
       : sim_(sim), count_(initial) {}
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
   [[nodiscard]] std::size_t available() const noexcept { return count_; }
-  [[nodiscard]] std::size_t waiting() const noexcept { return waiters_.size(); }
+
+  /// Takes a unit if one is free.
+  [[nodiscard]] bool try_acquire() noexcept {
+    if (count_ == 0) return false;
+    --count_;
+    return true;
+  }
+
+  /// Parks `w` (after a failed try_acquire) until a unit is handed to it.
+  void park(Waiter& w) noexcept { waiters_.push_back(&w); }
 
   void release(std::size_t n = 1) {
     while (n > 0 && !waiters_.empty()) {
-      std::coroutine_handle<> h = waiters_.front();
-      waiters_.pop_front();
-      sim_.schedule(0, [h] { h.resume(); });
+      Waiter* const w = waiters_.pop_front();
+      sim_.schedule(0, [w] { w->on_grant(w); });
       --n;
     }
     count_ += n;
@@ -203,21 +259,21 @@ class Semaphore {
     release(count);
   }
 
-  class Awaiter {
+  class Awaiter : Waiter {
    public:
-    explicit Awaiter(Semaphore& s) noexcept : sem_(s) {}
-    bool await_ready() const noexcept {
-      if (sem_.count_ > 0) {
-        --sem_.count_;
-        return true;
-      }
-      return false;
+    explicit Awaiter(Semaphore& s) noexcept : Waiter{nullptr, &grant}, sem_(s) {}
+    bool await_ready() const noexcept { return sem_.try_acquire(); }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle_ = h;
+      sem_.park(*this);
     }
-    void await_suspend(std::coroutine_handle<> h) { sem_.waiters_.push_back(h); }
     void await_resume() const noexcept {}
 
    private:
+    static void grant(Waiter* w) { static_cast<Awaiter*>(w)->handle_.resume(); }
+
     Semaphore& sem_;
+    std::coroutine_handle<> handle_{};
   };
 
   [[nodiscard]] Awaiter acquire() noexcept { return Awaiter{*this}; }
@@ -225,23 +281,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// RAII guard pairing a Semaphore acquire with its release.
-class SemaphoreGuard {
- public:
-  explicit SemaphoreGuard(Semaphore& s) noexcept : sem_(&s) {}
-  SemaphoreGuard(SemaphoreGuard&& o) noexcept : sem_(std::exchange(o.sem_, nullptr)) {}
-  SemaphoreGuard(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(SemaphoreGuard&&) = delete;
-  ~SemaphoreGuard() {
-    if (sem_ != nullptr) sem_->release();
-  }
-
- private:
-  Semaphore* sem_;
+  detail::IntrusiveFifo<Waiter> waiters_;
 };
 
 /// Join-point for a dynamic set of tasks (like Go's WaitGroup).

@@ -2,6 +2,7 @@
 // §7.3): once warm, the LLC's dirty extents, its bytes side table and
 // the shadow content plane recycle their nodes, so the payload
 // write -> flush -> read cycle performs no heap allocation at all.
+// The same holds for host software charges (DESIGN.md §7.1).
 // A counting global operator new makes that literally checkable; it
 // lives in its own binary so it cannot perturb other suites.
 
@@ -12,9 +13,12 @@
 #include <new>
 #include <vector>
 
+#include "host/host.hpp"
 #include "mem/llc.hpp"
 #include "mem/node_memory.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "sim/task.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -131,6 +135,45 @@ TEST(MemAlloc, ByteStoreFlushCycleIsAllocationFree) {
   for (std::uint64_t i = 200; i < 1200; ++i) cycle(i);
   EXPECT_EQ(g_allocs.load() - before, 0u)
       << "steady-state byte store/flush cycle allocated";
+}
+
+
+TEST(MemAlloc, HostExecCycleIsAllocationFree) {
+  // A host charge is an awaiter in the caller's frame, and one queued
+  // for a core is an intrusive node, so once the event slab is warm
+  // charging costs no allocation: uncontended, and with four tasks
+  // queueing on one core. Each task is one long-lived coroutine, so
+  // only the charges fall inside the measured window.
+  for (const unsigned tasks : {1u, 4u}) {
+    SCOPED_TRACE(tasks);
+    sim::Simulator sim;
+    sim::Rng rng{9};
+    host::HostParams params;
+    params.cores = 1;
+    host::Host host(sim, rng, params);
+    std::uint64_t loops = 0;
+    for (unsigned t = 0; t < tasks; ++t) {
+      sim::spawn([](host::Host& h, std::uint64_t& n) -> sim::Task<> {
+        for (int i = 0; i < 1000; ++i) {
+          co_await h.exec(400);
+          co_await h.charge_poll();
+          co_await h.memcpy_exec(4096);
+          co_await h.sleep(100);
+          ++n;
+        }
+      }(host, loops));
+    }
+    sim.run_until(100'000);  // warm-up
+    const std::uint64_t warm_loops = loops;
+
+    const std::uint64_t before = g_allocs.load();
+    sim.run();
+    EXPECT_EQ(g_allocs.load() - before, 0u)
+        << "steady-state host charge cycle allocated";
+    EXPECT_GT(warm_loops, 10u);
+    EXPECT_GT(loops - warm_loops, tasks * 800u) << "measured window too short";
+    EXPECT_EQ(loops, tasks * 1000u);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -810,7 +811,68 @@ TEST(Channel, TryRecvDoesNotBlock) {
   EXPECT_EQ(*v, 4);
 }
 
+TEST(Channel, InterleavedSendCloseResetWakeParkedReceiversInArrivalOrder) {
+  // Receivers re-park after every wake-up, so the waiter queue keeps
+  // rotating: send() must serve its head, reset() and close() must
+  // wake all of it in arrival order.
+  Simulator sim;
+  Channel<int> ch(sim);
+  struct Wake {
+    int receiver;
+    int value;  // -1 for nullopt
+    SimTime at;
+    bool operator==(const Wake&) const = default;
+  };
+  std::vector<Wake> log;
+  const auto receiver = [](Simulator& s, Channel<int>& c, std::vector<Wake>& out,
+                           int id, SimTime start, int recvs) -> Task<> {
+    co_await delay(s, start);
+    for (int k = 0; k < recvs; ++k) {
+      const std::optional<int> v = co_await c.recv();
+      out.push_back({id, v.value_or(-1), s.now()});
+    }
+  };
+  spawn(receiver(sim, ch, log, 0, 0, 3));
+  spawn(receiver(sim, ch, log, 1, 0, 3));
+  spawn(receiver(sim, ch, log, 2, 0, 3));
+  spawn(receiver(sim, ch, log, 3, 15, 2));
+  sim.schedule(10, [&] {
+    ch.send(1);  // queue R0 R1 R2 -> R0 gets 1
+    ch.send(2);  // -> R1 gets 2; R0, R1 re-park behind R2
+  });
+  sim.schedule(20, [&] { ch.reset(); });  // queue R2 R0 R1 R3
+  sim.schedule(30, [&] { ch.send(3); });  // -> R2; queue R0 R1 R3 R2
+  sim.schedule(40, [&] {
+    ch.close();
+    ch.send(4);  // dropped
+  });
+  sim.run();
+  const std::vector<Wake> want = {
+      {0, 1, 10},  {1, 2, 10},  {2, -1, 20}, {0, -1, 20},
+      {1, -1, 20}, {3, -1, 20}, {2, 3, 30},  {0, -1, 40},
+      {1, -1, 40}, {3, -1, 40}, {2, -1, 40}};
+  ASSERT_EQ(log.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(log[i], want[i]) << "wake " << i << ": receiver "
+                               << log[i].receiver << " value " << log[i].value
+                               << " at " << log[i].at;
+  }
+  EXPECT_EQ(ch.size(), 0u);
+}
+
 // ---------------------------------------------------------------- Semaphore
+
+/// RAII guard pairing a Semaphore acquire with its release.
+class SemaphoreGuard {
+ public:
+  explicit SemaphoreGuard(Semaphore& s) noexcept : sem_(s) {}
+  SemaphoreGuard(const SemaphoreGuard&) = delete;
+  SemaphoreGuard& operator=(const SemaphoreGuard&) = delete;
+  ~SemaphoreGuard() { sem_.release(); }
+
+ private:
+  Semaphore& sem_;
+};
 
 TEST(Semaphore, LimitsConcurrency) {
   Simulator sim;
