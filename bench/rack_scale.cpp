@@ -16,8 +16,15 @@
 // partition cables, and this sweep stretches them 4x), and on >= 8
 // hardware threads it must also be >= 1.3x faster in wall-clock.
 //
+// Each host row reports the active clients (virtual clients that
+// issued at least one op) next to the nominal population, and the
+// process peak RSS once the cell's four runs are done (cells run in
+// ascending size, so the 512-host row's figure is that cell's peak).
+//
 // Flags: --ops-per-host=N (default 64; --quick: 16), --seed=N, --pfc,
 //        --out=PATH (default BENCH_topology.json), --quick
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -44,6 +51,7 @@ constexpr double kTrunkPropScale = 4.0;
 bool model_identical(const bench::MicroResult& a, const bench::MicroResult& b) {
   return a.duration == b.duration && a.ops_completed == b.ops_completed &&
          a.sim_events == b.sim_events && a.kops == b.kops &&
+         a.active_clients == b.active_clients &&
          a.latency.sum() == b.latency.sum() &&
          a.latency.count() == b.latency.count() &&
          a.server.ops_processed == b.server.ops_processed &&
@@ -83,6 +91,13 @@ TimedRun timed_run(const bench::MicroConfig& mc) {
   return r;
 }
 
+/// High-water resident set of this process so far, in MiB.
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
 double epochs_per_sim_sec(const bench::MicroResult& r) {
   if (r.duration == 0) return 0.0;
   return static_cast<double>(r.engine_epochs) /
@@ -114,8 +129,9 @@ int main(int argc, char** argv) {
   const std::uint32_t host_counts[] = {2, 64, 128, 512};
   const unsigned thread_counts[] = {2, 4, 8};
 
-  bench::TablePrinter table({"Hosts", "Racks", "Clients", "kops", "avg us",
-                             "p99 us", "epochs", "identical"});
+  bench::TablePrinter table({"Hosts", "Racks", "Clients", "Active", "kops",
+                             "avg us", "p99 us", "epochs", "peak MiB",
+                             "identical"});
   bench::Json rows = bench::Json::array();
   bool deterministic = true;
   for (const std::uint32_t hosts : host_counts) {
@@ -169,13 +185,16 @@ int main(int argc, char** argv) {
       runs.push(std::move(row));
     }
     deterministic = deterministic && identical;
+    const double rss_mb = peak_rss_mb();
 
     table.add_row({std::to_string(hosts), std::to_string(racks),
                    std::to_string(mc.clients_per_host * mc.clients),
+                   std::to_string(serial.res.active_clients),
                    bench::TablePrinter::num(serial.res.kops, 1),
                    bench::TablePrinter::num(serial.res.avg_us(), 2),
                    bench::TablePrinter::num(serial.res.p99_us(), 2),
                    std::to_string(serial.res.engine_epochs),
+                   bench::TablePrinter::num(rss_mb, 1),
                    identical ? "yes" : "NO"});
 
     bench::Json row = bench::Json::object();
@@ -184,6 +203,8 @@ int main(int argc, char** argv) {
         .set("clients_per_host", bench::Json::num(mc.clients_per_host))
         .set("total_clients",
              bench::Json::num(mc.clients_per_host * mc.clients))
+        .set("active_clients", bench::Json::num(serial.res.active_clients))
+        .set("peak_rss_mb", bench::Json::num(rss_mb))
         .set("kops", bench::Json::num(serial.res.kops))
         .set("avg_us", bench::Json::num(serial.res.avg_us()))
         .set("p99_us", bench::Json::num(serial.res.p99_us()))

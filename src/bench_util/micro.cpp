@@ -272,6 +272,7 @@ MicroResult run_micro(rpcs::System system, const MicroConfig& cfg) {
     end_time = std::max(end_time, pool->finished_at());
     const workload::ClientPoolStats& s = pool->stats();
     result.ops_completed += s.ops_completed;
+    result.active_clients += s.active_clients;
     result.latency.merge(s.latency);
     result.write_latency.merge(s.write_latency);
     result.read_latency.merge(s.read_latency);

@@ -140,6 +140,9 @@ struct MicroResult {
   core::ServerStats server;
   std::uint64_t ops_completed = 0;
   std::uint64_t sim_events = 0;  ///< simulator events the cell replayed
+  /// Pooled mode (clients_per_host > 0): virtual clients that issued at
+  /// least one op — the active share of the nominal population.
+  std::uint64_t active_clients = 0;
   /// Span-derived (tracer) software costs per op — what Fig. 20 plots.
   /// With tracing off they fall back to the host charged-ns /
   /// ServerStats counters (exact parity, pinned by trace_test).

@@ -85,7 +85,10 @@ std::uint32_t BufferPool::class_of(std::uint64_t cap) {
 void BufferPool::grow_class(std::uint32_t cls) {
   const std::uint64_t bytes = class_bytes(cls);
   const std::uint64_t block = sizeof(PayloadBuf) + bytes;
-  const std::uint64_t count = std::max<std::uint64_t>(1, kSlabChunkBytes / block);
+  std::uint64_t& chunk = next_chunk_bytes_[cls];
+  if (chunk == 0) chunk = kFirstChunkBytes;
+  const std::uint64_t count = std::max<std::uint64_t>(1, chunk / block);
+  chunk = std::min(2 * chunk, kMaxChunkBytes);
   void* slab = ::operator new(block * count);
   slabs_.push_back(Slab{slab, block * count});
   stats_.slab_bytes += block * count;

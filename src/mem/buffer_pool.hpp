@@ -191,9 +191,10 @@ struct BufferPoolStats {
 
 /// Per-node deterministic slab allocator for payload blocks (the
 /// chunked-slab pattern of sim/inline_function.hpp's engine slots):
-/// power-of-two size classes, each growing by fixed slab chunks whose
-/// blocks are recycled through an intrusive free list — zero
-/// steady-state heap allocations once the working set is warm.
+/// power-of-two size classes, each growing by slab chunks whose blocks
+/// are recycled through an intrusive free list — zero steady-state
+/// heap allocations once the working set is warm. A class's chunks
+/// grow with its demand: 32 KiB first, doubling up to 256 KiB.
 ///
 /// Escape hatch (one release): setting PRDMA_LEGACY_DATAPLANE in the
 /// environment makes every acquire a fresh heap allocation (the
@@ -243,7 +244,9 @@ class BufferPool {
  private:
   static constexpr std::uint32_t kMinClassBytes = 64;
   static constexpr std::uint32_t kClassCount = 22;  ///< up to 128 MiB
-  static constexpr std::uint64_t kSlabChunkBytes = 256 * 1024;
+  /// A class's first slab chunk; each later one doubles, up to the max.
+  static constexpr std::uint64_t kFirstChunkBytes = 32 * 1024;
+  static constexpr std::uint64_t kMaxChunkBytes = 256 * 1024;
 
   static std::uint32_t class_of(std::uint64_t cap);
   static std::uint64_t class_bytes(std::uint32_t cls) {
@@ -264,6 +267,7 @@ class BufferPool {
   std::uint16_t track_ = 0;
   bool legacy_ = false;
   PayloadBuf* free_[kClassCount] = {};
+  std::uint64_t next_chunk_bytes_[kClassCount] = {};  ///< 0: none carved yet
   std::vector<Slab> slabs_;
   BufferPoolStats stats_;
   /// Treiber stack of blocks released by foreign partition workers

@@ -1,14 +1,15 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -46,18 +47,25 @@ struct DeviceTiming {
 /// callers at the simulated instant the model says the access
 /// completes; the timing plane serializes accesses against the
 /// device's bandwidth.
+///
+/// The byte plane is sparse (DESIGN.md §7.3): content lives in 256 B
+/// blocks found through a two-level index — a top array with one entry
+/// per 256 KiB of address space, whose leaves are allocated on the
+/// first store into their range. A block that was never stored reads
+/// as zeros, so a device costs memory in proportion to the bytes
+/// stored into it, not to its capacity.
 class Device {
  public:
+  static constexpr std::uint64_t kBlockBytes = 256;
+  static constexpr std::uint64_t kLeafBytes = 256 * 1024;
+
   Device(sim::Simulator& sim, std::string name, std::uint64_t capacity,
          DeviceTiming timing)
       : sim_(sim),
         name_(std::move(name)),
         timing_(timing),
         capacity_(capacity),
-        // calloc: content pages stay untouched (kernel zero pages)
-        // until first written — constructing a 256 MiB device costs
-        // nothing, which is what lets sweep cells scale across cores.
-        content_(static_cast<std::byte*>(std::calloc(capacity, 1))) {}
+        leaves_((capacity + kLeafBytes - 1) / kLeafBytes) {}
 
   virtual ~Device() = default;
   Device(const Device&) = delete;
@@ -76,9 +84,16 @@ class Device {
 
   void poke(std::uint64_t addr, std::span<const std::byte> data) {
     assert(addr + data.size() <= capacity_);
-    std::copy(data.begin(), data.end(), content_.get() + addr);
     bytes_written_ += data.size();
     bytes_copied_ += data.size();
+    if (data.empty()) return;
+    const std::uint64_t off = addr & kBlockMask;
+    if (off + data.size() <= kBlockBytes) {  // one block: the common case
+      std::memcpy(block_for_store(addr >> kBlockShift) + off, data.data(),
+                  data.size());
+      return;
+    }
+    store_blocks(addr, data);
   }
 
   /// Content-elided store (ContentMode::kShadow payload interiors):
@@ -91,15 +106,23 @@ class Device {
 
   void peek(std::uint64_t addr, std::span<std::byte> out) const {
     assert(addr + out.size() <= capacity_);
-    std::copy_n(content_.get() + addr, out.size(), out.begin());
     bytes_copied_ += out.size();
+    if (out.empty()) return;
+    const std::uint64_t off = addr & kBlockMask;
+    if (off + out.size() <= kBlockBytes) {
+      const std::byte* b = stored_block(addr >> kBlockShift);
+      if (b != nullptr) {
+        std::memcpy(out.data(), b + off, out.size());
+      } else {
+        std::memset(out.data(), 0, out.size());
+      }
+      return;
+    }
+    load_blocks(addr, out);
   }
 
-  [[nodiscard]] std::span<const std::byte> view(std::uint64_t addr,
-                                                std::uint64_t len) const {
-    assert(addr + len <= capacity_);
-    return {content_.get() + addr, len};
-  }
+  /// Blocks that hold stored bytes (each kBlockBytes of host memory).
+  [[nodiscard]] std::uint64_t stored_blocks() const { return stored_blocks_; }
 
   // --- timing plane ---
 
@@ -142,19 +165,132 @@ class Device {
   [[nodiscard]] const DeviceTiming& timing() const { return timing_; }
 
  protected:
-  void zero_content() { std::memset(content_.get(), 0, capacity_); }
+  /// Zeros every stored block — all a volatile device's content.
+  void zero_content() {
+    for (const Chunk& c : chunks_) {
+      std::memset(c.mem.get(), 0, c.used * kBlockBytes);
+    }
+  }
 
   sim::Simulator& sim_;
 
  private:
-  struct FreeDeleter {
-    void operator()(std::byte* p) const { std::free(p); }
+  static constexpr unsigned kBlockShift = 8;
+  static constexpr std::uint64_t kBlockMask = kBlockBytes - 1;
+  static constexpr unsigned kLeafShift = 18;
+  static constexpr std::uint64_t kLeafBlocks = kLeafBytes / kBlockBytes;
+  static_assert(kBlockBytes == std::uint64_t{1} << kBlockShift);
+  static_assert(kLeafBytes == std::uint64_t{1} << kLeafShift);
+  /// Block arena chunks start at 16 blocks (4 KiB) and double up to
+  /// 256 blocks (64 KiB): a device that stores a few headers holds a
+  /// few KiB, one that stores payloads allocates rarely.
+  static constexpr std::uint32_t kFirstChunkBlocks = 16;
+  static constexpr std::uint32_t kMaxChunkBlocks = 256;
+
+  struct Leaf {
+    std::byte* block[kLeafBlocks] = {};
   };
+  struct Chunk {
+    std::unique_ptr<std::byte[]> mem;
+    std::uint32_t used;  ///< blocks handed out from the front
+    std::uint32_t cap;
+  };
+
+  /// One slot of the lookup cache: block `blk` is at `ptr` (null: not
+  /// stored). Stores refresh the slot they allocate through, so an
+  /// entry never goes stale.
+  struct CacheEntry {
+    std::uint64_t blk = UINT64_MAX;
+    std::byte* ptr = nullptr;
+  };
+  static constexpr std::size_t kCacheSlots = 64;
+
+  CacheEntry& cache_slot(std::uint64_t blk) const {
+    return cache_[(blk ^ (blk >> 6) ^ (blk >> 12)) & (kCacheSlots - 1)];
+  }
+
+  /// The stored block `blk` (address >> kBlockShift), or null.
+  const std::byte* stored_block(std::uint64_t blk) const {
+    CacheEntry& e = cache_slot(blk);
+    if (e.blk == blk) return e.ptr;
+    const Leaf* leaf = leaves_[blk >> (kLeafShift - kBlockShift)].get();
+    e.blk = blk;
+    e.ptr = leaf != nullptr ? leaf->block[blk & (kLeafBlocks - 1)] : nullptr;
+    return e.ptr;
+  }
+
+  /// Block `blk`, allocated (zeroed) by this first store if need be.
+  std::byte* block_for_store(std::uint64_t blk) {
+    CacheEntry& e = cache_slot(blk);
+    if (e.blk == blk && e.ptr != nullptr) return e.ptr;
+    auto& leaf = leaves_[blk >> (kLeafShift - kBlockShift)];
+    if (leaf == nullptr) leaf = std::make_unique<Leaf>();
+    std::byte*& b = leaf->block[blk & (kLeafBlocks - 1)];
+    if (b == nullptr) b = new_block();
+    e.blk = blk;
+    e.ptr = b;
+    return b;
+  }
+
+  std::byte* new_block() {
+    if (chunks_.empty() || chunks_.back().used == chunks_.back().cap) {
+      const std::uint32_t cap =
+          chunks_.empty()
+              ? kFirstChunkBlocks
+              : std::min(2 * chunks_.back().cap, kMaxChunkBlocks);
+      // Default-initialized: each block is zeroed when handed out, so
+      // the untouched tail of a chunk stays unfaulted.
+      chunks_.push_back(Chunk{
+          std::unique_ptr<std::byte[]>(new std::byte[cap * kBlockBytes]), 0,
+          cap});
+    }
+    Chunk& c = chunks_.back();
+    std::byte* b = c.mem.get() + std::uint64_t{c.used++} * kBlockBytes;
+    std::memset(b, 0, kBlockBytes);
+    ++stored_blocks_;
+    return b;
+  }
+
+  /// Multi-block store/load, one block-sized piece at a time.
+  void store_blocks(std::uint64_t addr, std::span<const std::byte> data) {
+    const std::byte* src = data.data();
+    for (std::uint64_t n = data.size(); n > 0;) {
+      const std::uint64_t off = addr & kBlockMask;
+      const std::uint64_t k = std::min(n, kBlockBytes - off);
+      std::memcpy(block_for_store(addr >> kBlockShift) + off, src, k);
+      addr += k;
+      src += k;
+      n -= k;
+    }
+  }
+
+  void load_blocks(std::uint64_t addr, std::span<std::byte> out) const {
+    std::byte* dst = out.data();
+    for (std::uint64_t n = out.size(); n > 0;) {
+      const std::uint64_t off = addr & kBlockMask;
+      const std::uint64_t k = std::min(n, kBlockBytes - off);
+      const std::byte* b = stored_block(addr >> kBlockShift);
+      if (b != nullptr) {
+        std::memcpy(dst, b + off, k);
+      } else {
+        std::memset(dst, 0, k);
+      }
+      addr += k;
+      dst += k;
+      n -= k;
+    }
+  }
 
   std::string name_;
   DeviceTiming timing_;
   std::uint64_t capacity_;
-  std::unique_ptr<std::byte[], FreeDeleter> content_;
+  std::vector<std::unique_ptr<Leaf>> leaves_;
+  std::vector<Chunk> chunks_;
+  std::uint64_t stored_blocks_ = 0;
+  /// Direct-mapped lookup cache over recent blocks: the hot headers,
+  /// commit words and flags of a node are a small set, so most
+  /// accesses skip the index walk.
+  mutable std::array<CacheEntry, kCacheSlots> cache_{};
   sim::SimTime busy_until_ = 0;
   std::uint64_t bytes_written_ = 0;
   mutable std::uint64_t bytes_copied_ = 0;

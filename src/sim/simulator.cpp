@@ -32,14 +32,18 @@ EventHandle Simulator::schedule_at(SimTime t, InlineTask fn) {
   return push_entry(t, s);
 }
 
-EventHandle Simulator::push_entry(SimTime t, std::uint32_t slot) {
-  if (t < now_) t = now_;  // never schedule into the past
+EventHandle Simulator::link_entry(SimTime t, std::uint64_t seq,
+                                  std::uint32_t slot) {
   if (heap_.size() == heap_.capacity()) ++pool_allocs_;
-  const std::uint64_t seq = next_seq_++;
   this->slot(slot).seq = seq;
   heap_.push_back(HeapEntry{t, seq, slot});
   sift_up(heap_.size() - 1);
   return EventHandle{slot, seq};
+}
+
+EventHandle Simulator::push_entry(SimTime t, std::uint32_t slot) {
+  if (t < now_) t = now_;  // never schedule into the past
+  return link_entry(t, next_seq_++, slot);
 }
 
 // Lazy deletion: cancel() frees the slot at once (its seq no longer

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -20,6 +21,17 @@ struct EventHandle {
   static constexpr std::uint64_t kNoSeq = UINT64_MAX;
   std::uint32_t slot = kNoSlot;
   std::uint64_t seq = kNoSeq;
+};
+
+/// The (time, seq) ordering key of an event, drawn by
+/// Simulator::reserve() before the event is armed.
+struct EventKey {
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+
+  [[nodiscard]] bool before(const EventKey& o) const {
+    return time != o.time ? time < o.time : seq < o.seq;
+  }
 };
 
 /// Deterministic single-threaded discrete-event simulator.
@@ -72,6 +84,38 @@ class Simulator {
 
   /// Overload for a pre-built task (move-assigned into the slot).
   EventHandle schedule_at(SimTime t, InlineTask fn);
+
+  /// Draws the key schedule(delay, ...) would give an event here and
+  /// now, without arming anything: the sequence number is consumed at
+  /// this call, exactly as schedule() consumes it. Paired with
+  /// schedule_keyed(), it lets a caller keep many future events in a
+  /// private queue of its own and arm only the earliest (the
+  /// workload::ClientPool arrival heap, DESIGN.md §7.7) while the
+  /// global pop order stays what schedule() at the reserve() points
+  /// would have produced.
+  [[nodiscard]] EventKey reserve(SimTime delay) {
+    return EventKey{now_ + delay, next_seq_++};
+  }
+
+  /// Arms `fn` under a key drawn by reserve(). The caller must arm a
+  /// key before the simulator passes it — before any event that the
+  /// key orders ahead of pops — or the order breaks.
+  ///
+  /// Arm-once rule: a key enters the queue at most once. Cancellation
+  /// is lazy, so a cancelled key's dead entry stays in the heap; armed
+  /// again, it would match its slot's seq and look live beside the new
+  /// entry, and step() would run an empty task. Debug builds assert
+  /// the rule; a cancelled key must be replaced by a fresh reserve().
+  template <typename F>
+  EventHandle schedule_keyed(EventKey key, F&& fn) {
+    assert(key.time >= now_ && key.seq < next_seq_);
+    assert(std::none_of(heap_.begin(), heap_.end(),
+                        [&](const HeapEntry& e) { return e.seq == key.seq; }) &&
+           "schedule_keyed: key armed twice (arm-once rule)");
+    const std::uint32_t s = acquire_slot();
+    slot(s).fn.emplace(std::forward<F>(fn));
+    return link_entry(key.time, key.seq, s);
+  }
 
   /// Withdraws a pending event: it never runs and is not counted in
   /// events_executed(). A stale handle (the event already ran or was
@@ -195,6 +239,8 @@ class Simulator {
   void release_slot(std::uint32_t slot);
   /// Links an occupied slot into the queue at time `t` (clamped to now()).
   EventHandle push_entry(SimTime t, std::uint32_t slot);
+  /// Links an occupied slot into the queue under key (t, seq).
+  EventHandle link_entry(SimTime t, std::uint64_t seq, std::uint32_t slot);
   [[nodiscard]] bool live(const HeapEntry& e) {
     return slot(e.slot).seq == e.seq;
   }

@@ -1,6 +1,7 @@
 #include "workload/client_pool.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace prdma::workload {
 
@@ -18,6 +19,10 @@ ClientPool::ClientPool(sim::Simulator& sim, core::RpcClient& client,
   cfg_.clients = std::max<std::uint64_t>(1, cfg_.clients);
   cfg_.max_outstanding = std::max<std::uint32_t>(1, cfg_.max_outstanding);
   ring_.resize(static_cast<std::size_t>(cfg_.clients), 0);
+  has_issued_.resize(static_cast<std::size_t>(cfg_.clients), false);
+  if (cfg_.mean_think_ns != 0) {
+    arrivals_.reserve(static_cast<std::size_t>(cfg_.clients));
+  }
 }
 
 void ClientPool::start() {
@@ -42,7 +47,31 @@ void ClientPool::queue_next(std::uint32_t id) {
   }
   const auto think = static_cast<sim::SimTime>(
       rng_.exponential(static_cast<double>(cfg_.mean_think_ns)));
-  sim_.schedule(think, [this, id] { wake_client(id); });
+  arrivals_.push_back(Arrival{sim_.reserve(think), id, false});
+  std::push_heap(arrivals_.begin(), arrivals_.end(), later);
+  arm_head();
+}
+
+// Only the head has to be armed: every other pending key orders after
+// it, so the simulator cannot reach one before the head's event pops.
+// A new arrival that becomes the head is armed beside the old head,
+// which stays armed (keys are never cancelled, so none is armed twice);
+// the armed event that pops first is therefore always the heap's head.
+
+void ClientPool::arm_head() {
+  Arrival& head = arrivals_.front();
+  if (head.armed) return;
+  head.armed = true;
+  sim_.schedule_keyed(head.key, [this, seq = head.key.seq] { arrive(seq); });
+}
+
+void ClientPool::arrive([[maybe_unused]] std::uint64_t seq) {
+  assert(arrivals_.front().key.seq == seq);
+  const std::uint32_t id = arrivals_.front().id;
+  std::pop_heap(arrivals_.begin(), arrivals_.end(), later);
+  arrivals_.pop_back();
+  if (!arrivals_.empty()) arm_head();
+  wake_client(id);
 }
 
 void ClientPool::wake_client(std::uint32_t id) {
@@ -66,6 +95,10 @@ sim::Task<> ClientPool::puller() {
     if (issued_ >= cfg_.total_ops) co_return;
     const std::uint32_t id = ring_pop();
     ++issued_;
+    if (!has_issued_[id]) {
+      has_issued_[id] = true;
+      ++stats_.active_clients;
+    }
 
     RpcRequest req;
     req.obj_id = zipf_.next(rng_);

@@ -30,6 +30,7 @@ struct ClientPoolConfig {
 /// pools and classic drivers identically.
 struct ClientPoolStats {
   std::uint64_t ops_completed = 0;  ///< ok responses only
+  std::uint64_t active_clients = 0; ///< distinct clients that issued an op
   stats::LatencyHistogram latency;
   stats::LatencyHistogram write_latency;
   stats::LatencyHistogram read_latency;
@@ -48,12 +49,21 @@ struct ClientPoolStats {
 /// K entries in a preallocated ready ring drained by
 /// `max_outstanding` puller coroutines, all drawing from one shared
 /// RNG in event order. Per virtual client the steady-state footprint
-/// is one ring slot; issuing an op allocates nothing.
+/// is one ring slot, one bit of activity and, while it thinks, one
+/// arrival-heap entry; issuing an op allocates nothing.
 ///
 /// Determinism: the pool lives entirely on the owning host's
 /// simulator shard, so ring pushes, RNG draws and semaphore wakeups
 /// execute in event order — a pure function of config + seed,
 /// byte-identical at every engine thread count.
+///
+/// Arrivals are state, not events: a pending think-end is a 24-byte
+/// entry in the pool's private (time, seq) min-heap, keyed by
+/// Simulator::reserve() where it used to be schedule()d. Only entries
+/// that reach the heap's head are armed in the simulator (through
+/// schedule_keyed, each key once), so the simulator holds about one
+/// event per pool however many clients think, and every event pops
+/// exactly where it did when each client owned one.
 class ClientPool {
  public:
   /// `sim` must be the shard of the node `client` issues from.
@@ -76,9 +86,26 @@ class ClientPool {
   sim::Task<> puller();
   /// Client `id` finished thinking: ready-ring push + puller wakeup.
   void wake_client(std::uint32_t id);
-  /// Schedules client `id`'s next arrival after its think time.
+  /// Queues client `id`'s next arrival after its think time.
   void queue_next(std::uint32_t id);
   [[nodiscard]] std::uint32_t ring_pop();
+  /// Arms the arrival heap's head in the simulator unless it already is.
+  void arm_head();
+  /// The armed event of key `seq`, which is the heap's head: pops it
+  /// and wakes its client.
+  void arrive(std::uint64_t seq);
+
+  /// One pending think-end. `armed` marks a key already handed to
+  /// schedule_keyed (the arm-once rule).
+  struct Arrival {
+    sim::EventKey key;
+    std::uint32_t id;
+    bool armed;
+  };
+  /// std::*_heap comparator: the earliest key on top.
+  static bool later(const Arrival& a, const Arrival& b) {
+    return b.key.before(a.key);
+  }
 
   sim::Simulator& sim_;
   core::RpcClient& client_;
@@ -89,6 +116,8 @@ class ClientPool {
   std::vector<std::uint32_t> ring_; ///< ready client ids, FIFO
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
+  std::vector<Arrival> arrivals_;   ///< pending think-ends, min-heap
+  std::vector<bool> has_issued_;    ///< per client: counted as active
   std::uint64_t issued_ = 0;        ///< ops handed to pullers
   std::uint64_t attempts_done_ = 0; ///< responses back (ok or not)
   ClientPoolStats stats_;

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_util/micro.hpp"
@@ -22,6 +23,9 @@
 #include "sim/partitioned_engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
+#include "sim/task.hpp"
+#include "workload/client_pool.hpp"
 
 namespace prdma {
 namespace {
@@ -604,6 +608,229 @@ TEST(ClientPool, RejectsBatchedRequests) {
   mc.batch = 4;
   EXPECT_THROW(bench::run_micro(rpcs::System::kWFlushRpc, mc),
                std::invalid_argument);
+}
+
+/// The aggregated pool as it was before arrivals became heap state:
+/// every virtual client's think-end is its own schedule()d event, so
+/// the simulator holds one event per thinking client. Kept here as the
+/// reference workload::ClientPool is diffed against.
+class EventPerClientPool {
+ public:
+  EventPerClientPool(sim::Simulator& sim, core::RpcClient& client,
+                     workload::ClientPoolConfig cfg)
+      : sim_(sim),
+        client_(client),
+        cfg_(cfg),
+        rng_(cfg.seed),
+        zipf_(std::max<std::uint64_t>(1, cfg.object_count), cfg.zipf_theta),
+        ready_(sim, 0) {
+    cfg_.clients = std::max<std::uint64_t>(1, cfg_.clients);
+    cfg_.max_outstanding = std::max<std::uint32_t>(1, cfg_.max_outstanding);
+    ring_.resize(static_cast<std::size_t>(cfg_.clients), 0);
+  }
+
+  void start() {
+    if (cfg_.total_ops == 0) {
+      done_ = true;
+      return;
+    }
+    for (std::uint32_t p = 0; p < cfg_.max_outstanding; ++p) {
+      sim::spawn(puller());
+    }
+    for (std::uint64_t id = 0; id < cfg_.clients; ++id) {
+      queue_next(static_cast<std::uint32_t>(id));
+    }
+  }
+
+  [[nodiscard]] const workload::ClientPoolStats& stats() const {
+    return stats_;
+  }
+  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] sim::SimTime finished_at() const { return finished_at_; }
+
+ private:
+  void queue_next(std::uint32_t id) {
+    if (cfg_.mean_think_ns == 0) {
+      wake_client(id);
+      return;
+    }
+    const auto think = static_cast<sim::SimTime>(
+        rng_.exponential(static_cast<double>(cfg_.mean_think_ns)));
+    sim_.schedule(think, [this, id] { wake_client(id); });
+  }
+
+  void wake_client(std::uint32_t id) {
+    ring_[(ring_head_ + ring_size_) % ring_.size()] = id;
+    ++ring_size_;
+    ready_.release();
+  }
+
+  sim::Task<> puller() {
+    for (;;) {
+      co_await ready_.acquire();
+      if (issued_ >= cfg_.total_ops) co_return;
+      const std::uint32_t id = ring_[ring_head_];
+      ring_head_ = (ring_head_ + 1) % ring_.size();
+      --ring_size_;
+      ++issued_;
+      core::RpcRequest req;
+      req.obj_id = zipf_.next(rng_);
+      req.op = rng_.bernoulli(cfg_.read_ratio) ? core::RpcOp::kRead
+                                               : core::RpcOp::kWrite;
+      req.len = cfg_.op_len;
+      const core::RpcResult res = co_await client_.call(req);
+      if (res.ok) {
+        ++stats_.ops_completed;
+        stats_.latency.record(res.latency());
+        if (req.op == core::RpcOp::kWrite) {
+          stats_.write_latency.record(res.latency());
+          if (res.durable_at > res.issued_at) {
+            stats_.durable_latency.record(res.durable_at - res.issued_at);
+          }
+        } else {
+          stats_.read_latency.record(res.latency());
+        }
+      }
+      ++attempts_done_;
+      if (attempts_done_ == cfg_.total_ops) {
+        finished_at_ = sim_.now();
+        done_ = true;
+        ready_.release(cfg_.max_outstanding);
+      } else if (issued_ < cfg_.total_ops) {
+        queue_next(id);
+      }
+    }
+  }
+
+  sim::Simulator& sim_;
+  core::RpcClient& client_;
+  workload::ClientPoolConfig cfg_;
+  sim::Rng rng_;
+  sim::ZipfianGenerator zipf_;
+  sim::Semaphore ready_;
+  std::vector<std::uint32_t> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_size_ = 0;
+  std::uint64_t issued_ = 0;
+  std::uint64_t attempts_done_ = 0;
+  workload::ClientPoolStats stats_;
+  sim::SimTime finished_at_ = 0;
+  bool done_ = false;
+};
+
+/// run_micro's pooled mode with the pool type as a parameter: a
+/// two-rack leaf-spine cell on the per-rack engine, one WFlush-RPC
+/// server and one pool per client host. Fills the MicroResult fields
+/// expect_model_identical() compares.
+template <typename Pool>
+bench::MicroResult run_pooled_cell(const bench::MicroConfig& cfg) {
+  const core::ModelParams params = bench::params_for(cfg);
+  EngineConfig ecfg;
+  ecfg.threads = cfg.engine_threads;
+  ecfg.partitioning = Partitioning::kPerRack;
+  core::Cluster cluster(params, 1 + cfg.clients, ecfg);
+  std::vector<std::size_t> client_nodes;
+  for (std::size_t i = 0; i < cfg.clients; ++i) client_nodes.push_back(1 + i);
+  auto dep = rpcs::make_deployment(cluster, rpcs::System::kWFlushRpc,
+                                   cfg.replication, client_nodes, params);
+  std::vector<std::unique_ptr<Pool>> pools;
+  for (std::size_t c = 0; c < cfg.clients; ++c) {
+    workload::ClientPoolConfig pc;
+    pc.clients = cfg.clients_per_host;
+    pc.total_ops = cfg.ops / cfg.clients;
+    pc.max_outstanding = cfg.client_outstanding;
+    pc.mean_think_ns = cfg.client_think_ns;
+    pc.read_ratio = cfg.read_ratio;
+    pc.op_len = cfg.object_size;
+    pc.object_count = params.object_count;
+    pc.zipf_theta = cfg.zipf_theta;
+    pc.seed = cfg.seed * 7919 + c * 64;
+    pools.push_back(std::make_unique<Pool>(cluster.sim_of(client_nodes[c]),
+                                           *dep.clients[c], pc));
+    pools.back()->start();
+  }
+  cluster.run();
+
+  bench::MicroResult r;
+  for (const auto& pool : pools) {
+    EXPECT_TRUE(pool->done());
+    r.duration = std::max(r.duration, pool->finished_at());
+    const workload::ClientPoolStats& s = pool->stats();
+    r.ops_completed += s.ops_completed;
+    r.latency.merge(s.latency);
+    r.write_latency.merge(s.write_latency);
+    r.read_latency.merge(s.read_latency);
+    r.durable_latency.merge(s.durable_latency);
+  }
+  r.server = dep.server->stats();
+  r.sim_events = cluster.events_executed();
+  r.engine_epochs = cluster.engine().epochs();
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    auto& mem = cluster.node(i).mem();
+    r.bytes_copied += mem.pm().bytes_copied() + mem.dram().bytes_copied();
+    r.pool.acquires += mem.pool().stats().acquires;
+    r.pool.recycles += mem.pool().stats().recycles;
+    r.pool.oversize_allocs += mem.pool().stats().oversize_allocs;
+  }
+  return r;
+}
+
+TEST(ClientPool, MatchesTheEventPerClientPoolAtEveryThreadCount) {
+  // Arrivals as heap state must replay the one-event-per-client pool
+  // exactly: same pops, same RNG draws, same results — at 1, 2 and 8
+  // engine threads. The second shape has few clients and long thinks,
+  // so fresh arrivals often undercut the armed head and several keys
+  // are armed at once.
+  struct Shape {
+    std::uint64_t clients;
+    std::uint32_t outstanding;
+    sim::SimTime think_ns;
+  };
+  for (const Shape& shape : {Shape{32, 8, 2000}, Shape{3, 1, 50'000}}) {
+    SCOPED_TRACE("clients_per_host " + std::to_string(shape.clients));
+    bench::MicroConfig cfg = rack_parity_config(1);
+    cfg.clients_per_host = shape.clients;
+    cfg.client_outstanding = shape.outstanding;
+    cfg.client_think_ns = shape.think_ns;
+    const auto base = run_pooled_cell<EventPerClientPool>(cfg);
+    EXPECT_EQ(base.ops_completed, cfg.ops);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      cfg.engine_threads = threads;
+      const auto ref = run_pooled_cell<EventPerClientPool>(cfg);
+      const auto got = run_pooled_cell<workload::ClientPool>(cfg);
+      const std::string what = "threads " + std::to_string(threads);
+      expect_model_identical(got, ref, what);
+      expect_model_identical(got, base, what + " vs serial reference");
+      EXPECT_EQ(got.engine_epochs, ref.engine_epochs) << what;
+    }
+  }
+}
+
+TEST(ClientPool, MillionNominalClientsKeepTheEventSlabSmall) {
+  // 2^20 virtual clients on one host: every first arrival is reserved
+  // at start, yet the simulator only ever holds the armed heads, so
+  // its slab stays independent of the client count. One partition, no
+  // worker threads.
+  bench::MicroConfig cfg = parity_config(1, 1);
+  const core::ModelParams params = bench::params_for(cfg);
+  core::Cluster cluster(params, 2);
+  auto dep = rpcs::make_deployment(cluster, rpcs::System::kWFlushRpc,
+                                   cfg.replication, std::vector<std::size_t>{1}, params);
+  workload::ClientPoolConfig pc;
+  pc.clients = std::uint64_t{1} << 20;
+  pc.total_ops = 2000;
+  pc.max_outstanding = 8;
+  pc.mean_think_ns = 2000;
+  pc.op_len = 4096;
+  pc.object_count = params.object_count;
+  workload::ClientPool pool(cluster.sim_of(1), *dep.clients[0], pc);
+  pool.start();
+  cluster.run();
+  EXPECT_TRUE(pool.done());
+  EXPECT_EQ(pool.stats().ops_completed, pc.total_ops);
+  // Every reserved arrival still fires once (it pushes the ready ring).
+  EXPECT_GT(cluster.events_executed(), pc.clients);
+  EXPECT_LT(cluster.sim().slab_slots(), 1000u);
 }
 
 TEST(EngineParity, WiderClusterStaysIdenticalWithPipelinedClients) {

@@ -60,12 +60,16 @@ TEST(Device, PokePeekRoundTrip) {
   EXPECT_EQ(pm.bytes_written(), 256u);
 }
 
-TEST(Device, ViewAliasesContent) {
+TEST(Device, UnstoredBytesReadAsZeros) {
   Simulator sim;
-  PmDevice pm(sim, "pm", 1024, fast_timing());
-  pm.poke(0, bytes({1, 2, 3}));
-  const auto v = pm.view(0, 3);
-  EXPECT_EQ(static_cast<int>(v[1]), 2);
+  PmDevice pm(sim, "pm", 1 << 20, fast_timing());
+  pm.poke(300, bytes({1, 2, 3}));
+  std::vector<std::byte> out(6);
+  pm.peek(298, out);
+  EXPECT_EQ(out, bytes({0, 0, 1, 2, 3, 0}));
+  pm.peek(600 * 1024, out);  // a leaf nothing was stored into
+  EXPECT_EQ(out, std::vector<std::byte>(6, std::byte{0}));
+  EXPECT_EQ(pm.stored_blocks(), 1u) << "reads allocate nothing";
 }
 
 TEST(Device, WriteTimingIncludesLatencyAndBandwidth) {
@@ -368,6 +372,14 @@ struct LlcPair {
     llc.write_shadow(addr, len);
     ref.write_shadow(addr, len);
   }
+  /// PM content of [addr, addr+len), read from both devices alike.
+  std::vector<std::byte> pm_content(std::uint64_t addr, std::uint64_t len) {
+    std::vector<std::byte> out(len);
+    std::vector<std::byte> ref_out(len);
+    pm.peek(addr, out);
+    ref_pm.peek(addr, ref_out);
+    return out;
+  }
 
   /// Counters, device accounting and PM content agree.
   ::testing::AssertionResult same_state() const {
@@ -395,9 +407,12 @@ struct LlcPair {
     if (pm.bytes_copied() != ref_pm.bytes_copied()) {
       return differ("bytes_copied", pm.bytes_copied(), ref_pm.bytes_copied());
     }
-    const auto a = pm.view(0, kPm);
-    const auto b = ref_pm.view(0, kPm);
-    if (!std::equal(a.begin(), a.end(), b.begin())) {
+    // Peeks both devices, so their bytes_copied stay in step.
+    std::vector<std::byte> a(kPm);
+    std::vector<std::byte> b(kPm);
+    pm.peek(0, a);
+    ref_pm.peek(0, b);
+    if (a != b) {
       return ::testing::AssertionFailure() << "PM content differs";
     }
     return ::testing::AssertionSuccess();
@@ -494,7 +509,7 @@ TEST(LlcModel, LongWriteEvictsLineAheadThenRefillsIt) {
   EXPECT_EQ(p.llc.dirty_lines(), 4u);
   // Fills: line 5 twice, lines 0-4 once; write-backs: three evictions.
   EXPECT_EQ(p.pm.bytes_copied(), (7u + 3u) * kCacheLine);
-  EXPECT_EQ(as_vector(p.pm.view(5 * kCacheLine, kCacheLine)),
+  EXPECT_EQ(p.pm_content(5 * kCacheLine, kCacheLine),
             pattern(kCacheLine, 1))
       << "eviction persisted the old line";
   EXPECT_TRUE(p.same_state());
@@ -523,7 +538,7 @@ TEST(LlcModel, ShadowLineTakesBytesWithoutFill) {
   EXPECT_EQ(out, expect);
   p.llc.clflush(0, 0, kCacheLine);
   p.ref.clflush(0, 0, kCacheLine);
-  EXPECT_EQ(as_vector(p.pm.view(0, kCacheLine)), expect);
+  EXPECT_EQ(p.pm_content(0, kCacheLine), expect);
   EXPECT_TRUE(p.same_state());
 }
 
@@ -542,7 +557,7 @@ TEST(LlcModel, CoherentReadOfShadowLineIsZeros) {
   p.llc.clflush(0, 128, 2 * kCacheLine);
   p.ref.clflush(0, 128, 2 * kCacheLine);
   EXPECT_EQ(p.pm.bytes_written(), written + 2 * kCacheLine);
-  EXPECT_EQ(as_vector(p.pm.view(128, 2 * kCacheLine)),
+  EXPECT_EQ(p.pm_content(128, 2 * kCacheLine),
             pattern(2 * kCacheLine, 4));
   EXPECT_TRUE(p.same_state());
 }
@@ -563,6 +578,151 @@ TEST(LlcModel, FillsAndWriteBacksFeedBytesCopied) {
 }
 
 // ------------------------------------------------------------ NodeMemory
+
+// ------------------------------------------------- sparse byte plane
+
+/// The byte plane as it was before it went sparse: one flat zeroed
+/// array per device, with the same accounting.
+class FlatDevice {
+ public:
+  FlatDevice(std::uint64_t capacity, bool persistent)
+      : bytes_(capacity), persistent_(persistent) {}
+
+  void poke(std::uint64_t addr, std::span<const std::byte> data) {
+    std::copy(data.begin(), data.end(), bytes_.begin() + static_cast<long>(addr));
+    written_ += data.size();
+    copied_ += data.size();
+  }
+  void poke_shadow(std::uint64_t len) { written_ += len; }
+  void peek(std::uint64_t addr, std::span<std::byte> out) {
+    std::copy_n(bytes_.begin() + static_cast<long>(addr), out.size(),
+                out.begin());
+    copied_ += out.size();
+  }
+  void torn_write(std::uint64_t addr, std::span<const std::byte> data,
+                  std::uint64_t persisted) {
+    persisted = line_down(std::min<std::uint64_t>(persisted, data.size()));
+    if (persisted < data.size()) ++torn_;
+    if (persisted > 0) poke(addr, data.first(persisted));
+  }
+  void crash() {
+    if (!persistent_) std::fill(bytes_.begin(), bytes_.end(), std::byte{0});
+  }
+
+  std::uint64_t written_ = 0;
+  std::uint64_t copied_ = 0;
+  std::uint64_t torn_ = 0;
+
+ private:
+  std::vector<std::byte> bytes_;
+  bool persistent_;
+};
+
+/// An address near a block or leaf boundary (either side), or anywhere.
+std::uint64_t pick_addr(OpRng& rng, std::uint64_t capacity) {
+  std::uint64_t a = rng.below(capacity);
+  switch (rng.below(3)) {
+    case 0: {
+      const std::uint64_t edge = rng.below(capacity / Device::kBlockBytes + 1) *
+                                 Device::kBlockBytes;
+      a = edge + rng.below(64) - 32;
+      break;
+    }
+    case 1: {
+      const std::uint64_t edge = rng.below(capacity / Device::kLeafBytes + 1) *
+                                 Device::kLeafBytes;
+      a = edge + rng.below(1024) - 512;
+      break;
+    }
+    default:
+      break;
+  }
+  return std::min(a, capacity - 1);  // wrapped or past the end: clamp
+}
+
+TEST(SparseDevice, MatchesFlatArrayReference) {
+  // Three leaves and a ragged tail, so stores and loads cross block
+  // boundaries, leaf boundaries and the last partial leaf. kShadow
+  // mixes in content-elided stores the way NodeMemory issues them for
+  // payload interiors.
+  constexpr std::uint64_t kCap = 3 * Device::kLeafBytes + 1000;
+  for (const bool persistent : {true, false}) {
+    for (const ContentMode mode : {ContentMode::kFull, ContentMode::kShadow}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << (persistent ? "pm" : "dram") << " "
+                     << (mode == ContentMode::kShadow ? "kShadow" : "kFull")
+                     << " seed=" << seed);
+        Simulator sim;
+        PmDevice pm(sim, "pm", kCap, fast_timing());
+        DramDevice dram(sim, "dram", kCap, fast_timing());
+        Device& dev = persistent ? static_cast<Device&>(pm) : dram;
+        FlatDevice ref(kCap, persistent);
+        OpRng rng{seed};
+        for (int op = 0; op < 2'000 && !HasFailure(); ++op) {
+          const std::uint64_t addr = pick_addr(rng, kCap);
+          std::uint64_t len = rng.below(8) == 0 ? rng.below(300'000)
+                                                : rng.below(700);
+          len = std::min(len, kCap - addr);
+          const std::uint64_t kind = rng.below(100);
+          if (kind < 40) {
+            if (mode == ContentMode::kShadow && kind < 15) {
+              dev.poke_shadow(addr, len);
+              ref.poke_shadow(len);
+            } else {
+              const auto data = pattern(len, static_cast<int>(op));
+              dev.poke(addr, data);
+              ref.poke(addr, data);
+            }
+          } else if (kind < 80) {
+            std::vector<std::byte> got(len);
+            std::vector<std::byte> want(len);
+            dev.peek(addr, got);
+            ref.peek(addr, want);
+            ASSERT_EQ(got, want) << "peek [" << addr << ", +" << len << ")";
+          } else if (kind < 95) {
+            const auto data = pattern(len, static_cast<int>(op) + 7);
+            const std::uint64_t landed = rng.below(len + kCacheLine);
+            if (persistent) {
+              pm.torn_write(addr, data, landed);
+              ref.torn_write(addr, data, landed);
+            }
+          } else {
+            dev.crash();
+            ref.crash();
+          }
+          ASSERT_EQ(dev.bytes_written(), ref.written_);
+          ASSERT_EQ(dev.bytes_copied(), ref.copied_);
+          ASSERT_EQ(pm.torn_writes(), persistent ? ref.torn_ : 0u);
+        }
+        std::vector<std::byte> got(kCap);
+        std::vector<std::byte> want(kCap);
+        dev.peek(0, got);
+        ref.peek(0, want);
+        EXPECT_EQ(got, want) << "whole-device content";
+        EXPECT_LE(dev.stored_blocks(),
+                  (kCap + Device::kBlockBytes - 1) / Device::kBlockBytes);
+      }
+    }
+  }
+}
+
+TEST(SparseDevice, MemoryFollowsStoredBytesNotCapacity) {
+  Simulator sim;
+  DramDevice dram(sim, "dram", 128ull << 20, fast_timing());
+  EXPECT_EQ(dram.stored_blocks(), 0u);
+  dram.poke(Device::kBlockBytes - 4, pattern(8));  // straddles two blocks
+  dram.poke(64ull << 20, pattern(16));             // a far leaf
+  EXPECT_EQ(dram.stored_blocks(), 3u);
+  std::vector<std::byte> out(8);
+  dram.peek(100ull << 20, out);  // never stored: zeros, nothing allocated
+  EXPECT_EQ(out, std::vector<std::byte>(8, std::byte{0}));
+  EXPECT_EQ(dram.stored_blocks(), 3u);
+  dram.crash();  // clears the stored blocks in place
+  dram.peek(Device::kBlockBytes - 4, out);
+  EXPECT_EQ(out, std::vector<std::byte>(8, std::byte{0}));
+  EXPECT_EQ(dram.stored_blocks(), 3u);
+}
 
 struct NodeMemFixture : ::testing::Test {
   Simulator sim;
@@ -673,6 +833,39 @@ TEST(BufferPool, AcquireRecycleReusesBlocks) {
   PayloadRef b = pool.acquire(100);
   EXPECT_EQ(b.buf(), first);
   EXPECT_EQ(pool.stats().slab_bytes, slab0);
+}
+
+TEST(BufferPool, SlabChunksDoubleFrom32KiBTo256KiB) {
+  Simulator sim;
+  BufferPool pool(sim);
+  const std::uint64_t block = sizeof(PayloadBuf) + 1024;  // 1 KiB class
+  const auto carved = [](std::uint64_t chunk, std::uint64_t blk) {
+    return std::max<std::uint64_t>(1, chunk / blk) * blk;
+  };
+  std::vector<PayloadRef> held;  // nothing recycles: every chunk is new
+  std::vector<std::uint64_t> chunks;
+  std::uint64_t slab = 0;
+  while (chunks.size() < 6) {
+    held.push_back(pool.acquire(1024));
+    if (pool.stats().slab_bytes != slab) {
+      chunks.push_back(pool.stats().slab_bytes - slab);
+      slab = pool.stats().slab_bytes;
+    }
+  }
+  constexpr std::uint64_t kKiB = 1024;
+  EXPECT_EQ(chunks, (std::vector<std::uint64_t>{
+                        carved(32 * kKiB, block), carved(64 * kKiB, block),
+                        carved(128 * kKiB, block), carved(256 * kKiB, block),
+                        carved(256 * kKiB, block), carved(256 * kKiB, block)}));
+
+  // Each class grows on its own schedule, starting over at 32 KiB; a
+  // class wider than the chunk still carves one block per chunk.
+  held.push_back(pool.acquire(64));
+  EXPECT_EQ(pool.stats().slab_bytes - slab,
+            carved(32 * kKiB, sizeof(PayloadBuf) + 64));
+  slab = pool.stats().slab_bytes;
+  held.push_back(pool.acquire(64 * kKiB));
+  EXPECT_EQ(pool.stats().slab_bytes - slab, sizeof(PayloadBuf) + 64 * kKiB);
 }
 
 TEST(BufferPool, RefcountKeepsBlockAliveUntilLastHandle) {

@@ -469,6 +469,164 @@ TEST(SimCancel, MassCancellationKeepsOrderThroughCompaction) {
   EXPECT_EQ(sim.events_executed(), 1'000u);
 }
 
+// ------------------------------------------------------ keyed scheduling
+
+/// One seeded event workload, run either with schedule() at every call
+/// point or with `deferred` events routed through a private (time, seq)
+/// queue: reserve() where schedule() was called, and schedule_keyed()
+/// only for keys that reach the queue's head (the workload::ClientPool
+/// scheme). Both modes draw the RNG identically, so their execution
+/// traces must match event for event.
+class KeyedRun {
+ public:
+  KeyedRun(bool keyed, std::uint64_t seed, SimTime max_delay)
+      : keyed_(keyed), rng_(seed), max_delay_(max_delay) {}
+
+  std::vector<std::pair<SimTime, int>> run(int initial, int budget) {
+    budget_ = budget;
+    for (int i = 0; i < initial; ++i) add();
+    sim_.run();
+    EXPECT_TRUE(queue_.empty());
+    return trace_;
+  }
+
+  [[nodiscard]] const Simulator& sim() const { return sim_; }
+  [[nodiscard]] std::size_t max_pending() const { return max_pending_; }
+
+ private:
+  struct Entry {
+    int id;
+    bool armed;
+  };
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  void add() {
+    const SimTime delay = rng_.uniform(0, max_delay_);
+    const bool deferred = rng_.bernoulli(0.7);
+    const int id = next_id_++;
+    if (!deferred || !keyed_) {
+      sim_.schedule(delay, [this, id] { fire(id); });
+      return;
+    }
+    const EventKey k = sim_.reserve(delay);
+    queue_.emplace(Key{k.time, k.seq}, Entry{id, false});
+    arm_head();
+  }
+
+  void arm_head() {
+    auto head = queue_.begin();
+    if (head->second.armed) return;
+    head->second.armed = true;
+    const EventKey k{head->first.first, head->first.second};
+    sim_.schedule_keyed(k, [this, k] {
+      const auto top = queue_.begin();
+      ASSERT_EQ(top->first, (Key{k.time, k.seq})) << "armed key is not the head";
+      const int id = top->second.id;
+      queue_.erase(top);
+      if (!queue_.empty()) arm_head();
+      fire(id);
+    });
+  }
+
+  void fire(int id) {
+    trace_.emplace_back(sim_.now(), id);
+    max_pending_ = std::max(max_pending_, sim_.pending());
+    const int spawn = static_cast<int>(rng_.uniform(0, 2));
+    for (int i = 0; i < spawn && budget_ > 0; ++i, --budget_) add();
+  }
+
+  bool keyed_;
+  Rng rng_;
+  SimTime max_delay_;
+  Simulator sim_;
+  std::map<Key, Entry> queue_;
+  std::vector<std::pair<SimTime, int>> trace_;
+  std::size_t max_pending_ = 0;
+  int next_id_ = 0;
+  int budget_ = 0;
+};
+
+TEST(SimKeyed, ReserveThenArmPopsExactlyLikeSchedule) {
+  // Wide delays and dense same-timestamp ties (max_delay 0 and 3).
+  for (const SimTime max_delay : {SimTime{0}, SimTime{3}, SimTime{50'000}}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " max_delay " +
+                   std::to_string(max_delay));
+      KeyedRun plain(false, seed, max_delay);
+      KeyedRun keyed(true, seed, max_delay);
+      const auto want = plain.run(500, 5'000);
+      const auto got = keyed.run(500, 5'000);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(keyed.sim().events_executed(), plain.sim().events_executed());
+      EXPECT_EQ(keyed.sim().now(), plain.sim().now());
+      EXPECT_LT(keyed.max_pending(), plain.max_pending())
+          << "unarmed keys must stay out of the simulator";
+    }
+  }
+}
+
+TEST(SimKeyed, ReserveConsumesTheSequenceScheduleWould) {
+  // A reserved key ties with an event scheduled later for the same
+  // time and still runs first: its seq was drawn at reserve().
+  Simulator sim;
+  std::vector<int> order;
+  const EventKey k = sim.reserve(10);
+  EXPECT_EQ(k.time, 10u);
+  sim.schedule(10, [&] { order.push_back(2); });
+  sim.schedule(5, [&] { order.push_back(1); });
+  sim.schedule_keyed(k, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+}
+
+TEST(SimKeyed, HeadsThatKeepUndercuttingEachArmOnce) {
+  // Every new key orders before the armed head, so each becomes the
+  // head and is armed while the older heads stay armed: the regression
+  // shape of the arm-once rule. Nothing is cancelled or re-armed, and
+  // every key runs exactly once, in key order.
+  Simulator sim;
+  std::vector<SimTime> ran;
+  for (SimTime d = 100; d > 0; d -= 10) {
+    const EventKey k = sim.reserve(d);
+    sim.schedule_keyed(k, [&sim, &ran] { ran.push_back(sim.now()); });
+  }
+  EXPECT_EQ(sim.pending(), 10u);
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<SimTime>{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}));
+  EXPECT_EQ(sim.events_executed(), 10u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimKeyed, CancelledKeyIsReplacedByAFreshReserve) {
+  // The sanctioned way to withdraw a keyed event: cancel it and arm a
+  // fresh key. The dead entry stays behind the live earlier event
+  // until it surfaces and is dropped.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(5, [&] { order.push_back(1); });
+  const EventKey k = sim.reserve(10);
+  const EventHandle h = sim.schedule_keyed(k, [&] { order.push_back(-1); });
+  sim.cancel(h);
+  sim.schedule_keyed(sim.reserve(10), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+#if !defined(NDEBUG) && GTEST_HAS_DEATH_TEST
+TEST(SimKeyedDeathTest, ReArmingACancelledKeyAsserts) {
+  // With the dead entry still queued behind a live event, arming the
+  // same key again would make the dead entry look live.
+  Simulator sim;
+  sim.schedule(5, [] {});
+  const EventKey k = sim.reserve(10);
+  sim.cancel(sim.schedule_keyed(k, [] {}));
+  EXPECT_DEATH(sim.schedule_keyed(k, [] {}), "arm-once");
+}
+#endif
+
 // -------------------------------------------------------- InlineFunction
 
 TEST(InlineFunction, SmallCaptureStaysInlineWithoutAllocating) {
