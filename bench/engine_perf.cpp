@@ -3,13 +3,10 @@
 //
 //  1. Raw engine throughput — a self-rescheduling "pinger" workload
 //     whose capture mimics the RNIC hot path (~112 B, defeats
-//     std::function's small-buffer optimisation) — on the current
-//     slab/InlineTask engine vs the pre-PR engine, which is kept here
-//     verbatim (std::function per event, events stored inside the heap
-//     array) as LegacyEngine.
-//     Plus a timer-churn cell: the RC retransmit pattern, where every
-//     event arms a far-future timer and cancels the one armed before
-//     it (DESIGN.md §7.1).
+//     std::function's small-buffer optimisation) — on the slab/InlineTask
+//     engine. Plus a timer-churn cell: the RC retransmit pattern, where
+//     every event arms a far-future timer and cancels the one armed
+//     before it (DESIGN.md §7.1).
 //  2. Steady-state allocations/event of the current engine (pingers
 //     and timer churn), from the instrumented counters
 //     (Simulator::pool_allocations and sim::inline_fn_heap_allocs):
@@ -52,7 +49,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <new>
 #include <string>
 #include <utility>
@@ -143,82 +139,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 
 namespace {
 
-/// The event engine as it was before the InlineTask/slab rewrite: a
-/// std::function per event, stored inside the binary-heap array. Kept
-/// here so the speedup is measured against the real predecessor, not a
-/// strawman.
-class LegacyEngine {
- public:
-  [[nodiscard]] sim::SimTime now() const { return now_; }
-
-  void schedule(sim::SimTime delay, std::function<void()> fn) {
-    schedule_at(now_ + delay, std::move(fn));
-  }
-
-  void schedule_at(sim::SimTime t, std::function<void()> fn) {
-    if (t < now_) t = now_;
-    heap_.push_back(Event{t, next_seq_++, std::move(fn)});
-    sift_up(heap_.size() - 1);
-  }
-
-  bool step() {
-    if (heap_.empty()) return false;
-    Event ev = std::move(heap_.front());
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-    now_ = ev.time;
-    ++executed_;
-    ev.fn();
-    return true;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-
- private:
-  struct Event {
-    sim::SimTime time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    [[nodiscard]] bool before(const Event& o) const {
-      return time != o.time ? time < o.time : seq < o.seq;
-    }
-  };
-
-  void sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!heap_[i].before(heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
-  }
-
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t smallest = i;
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
-      if (l < n && heap_[l].before(heap_[smallest])) smallest = l;
-      if (r < n && heap_[r].before(heap_[smallest])) smallest = r;
-      if (smallest == i) break;
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
-    }
-  }
-
-  sim::SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::vector<Event> heap_;
-};
-
 /// Capture ballast matching the RNIC transmit/DMA lambdas (a Packet by
 /// value plus bookkeeping): big enough that std::function must heap-
 /// allocate, comfortably inside the InlineTask budget.
@@ -226,8 +146,7 @@ struct Pad {
   unsigned char bytes[96] = {};
 };
 
-template <typename Engine>
-void ping(Engine& eng, std::uint64_t& remaining, const Pad& pad) {
+void ping(sim::Simulator& eng, std::uint64_t& remaining, const Pad& pad) {
   if (remaining == 0) return;
   --remaining;
   eng.schedule((remaining % 97) + 1, [&eng, &remaining, pad] {
@@ -238,8 +157,8 @@ void ping(Engine& eng, std::uint64_t& remaining, const Pad& pad) {
 /// Drives `total` pinger events through `eng` with `pingers` of them
 /// concurrently pending (the bench workloads keep hundreds to
 /// thousands of events in flight), returns wall seconds.
-template <typename Engine>
-double run_pingers(Engine& eng, std::uint64_t total, std::uint64_t pingers) {
+double run_pingers(sim::Simulator& eng, std::uint64_t total,
+                   std::uint64_t pingers) {
   std::uint64_t remaining = total;
   const Pad pad;
   const auto t0 = std::chrono::steady_clock::now();
@@ -310,22 +229,19 @@ int main(int argc, char** argv) {
 
   std::printf("engine_perf — event-engine + sweep-runner throughput\n\n");
 
-  // ---- 1. raw engine: new vs legacy -------------------------------
+  // ---- 1. raw engine ----------------------------------------------
   sim::Simulator warm;
   (void)run_pingers(warm, events / 4, pingers);  // warm the allocator + caches
 
   sim::Simulator fresh;
   (void)run_pingers(fresh, events / 4, pingers);  // grow slab/heap to high-water
 
-  LegacyEngine legacy;
-  (void)run_pingers(legacy, events / 4, pingers);
-
   sim::Simulator churn_sim;
   (void)run_timer_churn(churn_sim, events / 4, pingers);
 
   // Steady state: slots recycle, captures stay inline — both counters
   // must be flat across every measured window. Wall time is the best of
-  // five windows, with the engines' windows interleaved so a noisy
+  // five windows, with the two cells' windows interleaved so a noisy
   // neighbour or frequency drift hits both alike; min is the standard
   // estimator for a deterministic workload.
   constexpr int kWindows = 5;
@@ -333,11 +249,9 @@ int main(int argc, char** argv) {
       fresh.pool_allocations() + churn_sim.pool_allocations();
   const std::uint64_t heap0 = sim::inline_fn_heap_allocs();
   double new_secs = 1e300;
-  double legacy_secs = 1e300;
   double churn_secs = 1e300;
   for (int r = 0; r < kWindows; ++r) {
     new_secs = std::min(new_secs, run_pingers(fresh, events, pingers));
-    legacy_secs = std::min(legacy_secs, run_pingers(legacy, events, pingers));
     churn_secs =
         std::min(churn_secs, run_timer_churn(churn_sim, events, pingers));
   }
@@ -346,23 +260,19 @@ int main(int argc, char** argv) {
       (sim::inline_fn_heap_allocs() - heap0);
 
   const double new_eps = static_cast<double>(events) / new_secs;
-  const double legacy_eps = static_cast<double>(events) / legacy_secs;
   const double churn_eps = static_cast<double>(events) / churn_secs;
   const double allocs_per_event = static_cast<double>(steady_allocs) /
                                   static_cast<double>(2 * kWindows * events);
 
   bench::TablePrinter engine({"Engine", "events/sec", "allocs/event"});
-  engine.add_row({"slab+InlineTask (this PR)",
+  engine.add_row({"slab+InlineTask pingers",
                   bench::TablePrinter::num(new_eps / 1e6, 2) + "M",
                   bench::TablePrinter::num(allocs_per_event, 6)});
-  engine.add_row({"std::function heap (pre-PR)",
-                  bench::TablePrinter::num(legacy_eps / 1e6, 2) + "M",
-                  ">= 1 (by construction)"});
   engine.add_row({"timer churn (cancel per event)",
                   bench::TablePrinter::num(churn_eps / 1e6, 2) + "M",
                   bench::TablePrinter::num(allocs_per_event, 6)});
   engine.print();
-  std::printf("speedup vs legacy: %.2fx\n\n", new_eps / legacy_eps);
+  std::printf("\n");
 
   // ---- 2. reference micro cell + tracer overhead ------------------
   // Same cell at every tracer depth. kOff is the zero-allocs reference;
@@ -718,8 +628,6 @@ int main(int argc, char** argv) {
   doc.set("bench", bench::Json::str("engine_perf"))
       .set("events", bench::Json::num(events))
       .set("events_per_sec", bench::Json::num(new_eps))
-      .set("events_per_sec_legacy", bench::Json::num(legacy_eps))
-      .set("speedup_vs_legacy", bench::Json::num(new_eps / legacy_eps))
       .set("timer_churn_events_per_sec", bench::Json::num(churn_eps))
       .set("steady_state_allocs_per_event", bench::Json::num(allocs_per_event))
       .set("micro_cell_events", bench::Json::num(mres.sim_events))

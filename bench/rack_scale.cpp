@@ -314,10 +314,10 @@ int main(int argc, char** argv) {
   // ---- degraded-fabric loss sweep (DESIGN.md §7.8) ----------------
   // A small leaf-spine cell swept over per-packet loss probabilities.
   // Gates: every op completes despite the loss (RC go-back-N recovers),
-  // a lossy fabric actually drops and retransmits, a clean one does
+  // every lossy row actually drops and retransmits, the clean one does
   // neither, degradation is monotone at the top of the sweep, and the
   // whole degraded schedule replays byte-identically at 8 threads.
-  const double loss_points[] = {0.0, 1e-4, 1e-2};
+  const double loss_points[] = {0.0, 3e-3, 1e-2};
   bench::Json loss_rows = bench::Json::array();
   bool loss_ok = true;
   double clean_avg_us = 0.0;
@@ -355,11 +355,13 @@ int main(int argc, char** argv) {
     if (loss == 0.0) {
       clean_avg_us = r.avg_us();
       row_ok = row_ok && r.net_drops == 0 && r.rnic_retransmits == 0;
-    } else if (loss >= 1e-2) {
+    } else {
+      row_ok = row_ok && r.net_drops > 0 && r.rnic_retransmits > 0;
+    }
+    if (loss >= 1e-2) {
       worst_avg_us = r.avg_us();
       worst_drops = r.net_drops;
       worst_retx = r.rnic_retransmits;
-      row_ok = row_ok && r.net_drops > 0 && r.rnic_retransmits > 0;
     }
     loss_ok = loss_ok && row_ok;
 

@@ -34,10 +34,6 @@ class Flags {
   [[nodiscard]] std::uint64_t u64(const std::string& key,
                                   std::uint64_t def) const;
   [[nodiscard]] double f64(const std::string& key, double def) const;
-  /// Deprecated alias of f64 (one release, migration shim).
-  [[nodiscard]] double real(const std::string& key, double def) const {
-    return f64(key, def);
-  }
   [[nodiscard]] bool flag(const std::string& key) const;
   [[nodiscard]] std::string str(const std::string& key,
                                 std::string def) const;

@@ -331,14 +331,10 @@ MicroResult run_micro(rpcs::System system, const MicroConfig& cfg) {
     }
   }
   if (tracer.enabled()) {
-    for (trace::ComponentId id = 0; id < tracer.component_count(); ++id) {
+    for (trace::ComponentId id = 0; id < trace::kPredefinedComponents; ++id) {
       const std::uint64_t total = tracer.total_ns(id);
       if (total == 0) continue;  // counters and idle components
-      const trace::ComponentId mine =
-          id < trace::kPredefinedComponents
-              ? id
-              : result.breakdown.intern(tracer.name_of(id));
-      result.breakdown.add_total(mine, total, tracer.samples(id));
+      result.breakdown.add_total(id, total, tracer.samples(id));
     }
     if (tracer.mode() == trace::Mode::kFull) {
       result.trace_json = trace::chrome_fragment(

@@ -1,8 +1,10 @@
 #include "bench_util/report.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <utility>
+#include <vector>
 
 #include "trace/export.hpp"
 
@@ -35,13 +37,21 @@ Json micro_result_json(const std::string& name, const MicroResult& res) {
         .set("rnic_retransmits", Json::num(res.rnic_retransmits));
   }
 
+  // Populated components only, keyed by name in alphabetical order.
+  std::vector<trace::ComponentId> ids;
+  for (trace::ComponentId id = 0; id < trace::kPredefinedComponents; ++id) {
+    if (res.breakdown.populated(id)) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end(), [](auto a, auto b) {
+    return trace::component_name(a) < trace::component_name(b);
+  });
   Json comps = Json::object();
-  for (const std::string& comp : res.breakdown.component_names()) {
+  for (const trace::ComponentId id : ids) {
     Json slot = Json::object();
     slot.set("mean_ns", Json::num(res.breakdown.mean_ns(
-                 comp, std::max<std::uint64_t>(res.ops_completed, 1))))
-        .set("share", Json::num(res.breakdown.share(comp)));
-    comps.set(comp, std::move(slot));
+                 id, std::max<std::uint64_t>(res.ops_completed, 1))))
+        .set("share", Json::num(res.breakdown.share(id)));
+    comps.set(std::string(trace::component_name(id)), std::move(slot));
   }
   row.set("breakdown", std::move(comps));
   return row;

@@ -1,7 +1,6 @@
 #include "mem/buffer_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <new>
 
 #include "trace/component.hpp"
@@ -66,8 +65,7 @@ bool BufferPool::address_poisoned(const void* p) {
 #endif
 }
 
-BufferPool::BufferPool(sim::Simulator& sim)
-    : sim_(sim), legacy_(std::getenv("PRDMA_LEGACY_DATAPLANE") != nullptr) {}
+BufferPool::BufferPool(sim::Simulator& sim) : sim_(sim) {}
 
 BufferPool::~BufferPool() {
   for (const Slab& s : slabs_) {
@@ -128,8 +126,8 @@ void BufferPool::note_recycle(const PayloadBuf* b) {
 PayloadRef BufferPool::acquire(std::uint64_t data_cap) {
   const std::uint32_t cls = class_of(data_cap);
   PayloadBuf* b = nullptr;
-  if (legacy_ || cls >= kClassCount) {
-    if (cls >= kClassCount) ++stats_.oversize_allocs;
+  if (cls >= kClassCount) {
+    ++stats_.oversize_allocs;
     b = new_block(data_cap);
     b->size_class = cls;
   } else {
@@ -169,7 +167,7 @@ void BufferPool::recycle(PayloadBuf* b) {
     return;
   }
   note_recycle(b);
-  if (legacy_ || b->size_class >= kClassCount) {
+  if (b->size_class >= kClassCount) {
     ::operator delete(static_cast<void*>(b));
     return;
   }

@@ -195,11 +195,7 @@ struct BufferPoolStats {
 /// are recycled through an intrusive free list — zero steady-state
 /// heap allocations once the working set is warm. A class's chunks
 /// grow with its demand: 32 KiB first, doubling up to 256 KiB.
-///
-/// Escape hatch (one release): setting PRDMA_LEGACY_DATAPLANE in the
-/// environment makes every acquire a fresh heap allocation (the
-/// pre-pool allocation behaviour) so A/B runs can pin that pooling is
-/// timing-inert; rpcs_test holds the stats byte-identical.
+/// Requests too big for any class are the only heap allocations.
 class BufferPool {
  public:
   explicit BufferPool(sim::Simulator& sim);
@@ -227,7 +223,6 @@ class BufferPool {
   void drain_remote_frees();
 
   [[nodiscard]] const BufferPoolStats& stats() const { return stats_; }
-  [[nodiscard]] bool legacy_mode() const { return legacy_; }
 
   /// Wires the pool to a tracer: occupancy (kPayloadPool) and
   /// per-recycle ref-acquisition (kPayloadRefs) gauges, recorded
@@ -265,7 +260,6 @@ class BufferPool {
   sim::Simulator& sim_;
   trace::Tracer* tracer_ = nullptr;
   std::uint16_t track_ = 0;
-  bool legacy_ = false;
   PayloadBuf* free_[kClassCount] = {};
   std::uint64_t next_chunk_bytes_[kClassCount] = {};  ///< 0: none carved yet
   std::vector<Slab> slabs_;

@@ -80,11 +80,6 @@ class Fabric {
   /// simulator shard its events must run on.
   void register_node(NodeId id, sim::Simulator& sim,
                      std::function<void(Packet)> deliver);
-  /// Legacy two-argument form: the node runs on the fabric's own
-  /// (construction) simulator.
-  void register_node(NodeId id, std::function<void(Packet)> deliver) {
-    register_node(id, sim_, std::move(deliver));
-  }
 
   /// Removes a node from the fabric (crashed); packets in flight to it
   /// are discarded on arrival until it re-registers — through the

@@ -1,12 +1,7 @@
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "trace/component.hpp"
 
@@ -16,11 +11,8 @@ namespace prdma::stats {
 /// regenerate the paper's Fig. 20 (sender software / network RTT /
 /// receiver software breakdown).
 ///
-/// Keyed by trace::ComponentId, the same interned handles the tracer
-/// records spans under, so the hot path never hashes strings. The
-/// string-accepting overloads are a compatibility shim (one release,
-/// see DESIGN.md §7.2): they intern through the shared predefined
-/// component table, falling back to per-instance dynamic ids.
+/// One slot per predefined trace::Component, the same ids the tracer
+/// records spans under, so the hot path never hashes strings.
 class SpanBreakdown {
  public:
   using ComponentId = trace::ComponentId;
@@ -31,41 +23,9 @@ class SpanBreakdown {
   /// Folds a pre-aggregated component total in (e.g. a Tracer slot).
   void add_total(ComponentId id, std::uint64_t total_ns,
                  std::uint64_t samples) {
-    auto& slot = slots_[id];
+    auto& slot = slots_.at(id);
     slot.total_ns += total_ns;
     slot.samples += samples;
-  }
-
-  // ---- string shim (deprecated; intern once and use ids instead) ----
-
-  void add(const std::string& component, std::uint64_t ns) {
-    add(intern(component), ns);
-  }
-  [[nodiscard]] double mean_ns(const std::string& component,
-                               std::uint64_t ops) const {
-    const auto id = find(component);
-    return id ? mean_ns(*id, ops) : 0.0;
-  }
-  [[nodiscard]] double share(const std::string& component) const {
-    const auto id = find(component);
-    return id ? share(*id) : 0.0;
-  }
-
-  /// Returns the id `name` maps to in this breakdown, interning a
-  /// dynamic id (first-use order) when it is not a predefined
-  /// component. Deterministic per instance.
-  ComponentId intern(std::string_view name) {
-    if (const auto c = trace::component_from_name(name)) {
-      return trace::to_id(*c);
-    }
-    for (std::size_t i = 0; i < dynamic_.size(); ++i) {
-      if (dynamic_[i] == name) {
-        return static_cast<ComponentId>(trace::kPredefinedComponents + i);
-      }
-    }
-    dynamic_.emplace_back(name);
-    return static_cast<ComponentId>(trace::kPredefinedComponents +
-                                    dynamic_.size() - 1);
   }
 
   // ---- queries ----
@@ -73,9 +33,9 @@ class SpanBreakdown {
   /// Mean nanoseconds per *operation*, where ops is the divisor (an
   /// operation can contribute several spans of one component).
   [[nodiscard]] double mean_ns(ComponentId id, std::uint64_t ops) const {
-    const auto it = slots_.find(id);
-    if (it == slots_.end() || ops == 0) return 0.0;
-    return static_cast<double>(it->second.total_ns) / static_cast<double>(ops);
+    if (ops == 0) return 0.0;
+    return static_cast<double>(slots_.at(id).total_ns) /
+           static_cast<double>(ops);
   }
   [[nodiscard]] double mean_ns(trace::Component c, std::uint64_t ops) const {
     return mean_ns(trace::to_id(c), ops);
@@ -83,19 +43,18 @@ class SpanBreakdown {
 
   [[nodiscard]] std::uint64_t total_ns() const {
     std::uint64_t t = 0;
-    for (const auto& [id, slot] : slots_) t += slot.total_ns;
+    for (const Slot& slot : slots_) t += slot.total_ns;
     return t;
   }
 
   [[nodiscard]] std::uint64_t samples(ComponentId id) const {
-    const auto it = slots_.find(id);
-    return it == slots_.end() ? 0 : it->second.samples;
+    return slots_.at(id).samples;
   }
 
   /// Records folded in across every component (spans + counter samples).
   [[nodiscard]] std::uint64_t total_samples() const {
     std::uint64_t n = 0;
-    for (const auto& [id, slot] : slots_) n += slot.samples;
+    for (const Slot& slot : slots_) n += slot.samples;
     return n;
   }
 
@@ -103,47 +62,26 @@ class SpanBreakdown {
   [[nodiscard]] double share(ComponentId id) const {
     const std::uint64_t t = total_ns();
     if (t == 0) return 0.0;
-    const auto it = slots_.find(id);
-    if (it == slots_.end()) return 0.0;
-    return static_cast<double>(it->second.total_ns) / static_cast<double>(t);
+    return static_cast<double>(slots_.at(id).total_ns) /
+           static_cast<double>(t);
   }
   [[nodiscard]] double share(trace::Component c) const {
     return share(trace::to_id(c));
   }
 
-  [[nodiscard]] std::string_view name_of(ComponentId id) const {
-    if (id < trace::kPredefinedComponents) return trace::component_name(id);
-    const std::size_t idx = id - trace::kPredefinedComponents;
-    return idx < dynamic_.size() ? std::string_view(dynamic_[idx])
-                                 : std::string_view("?");
-  }
-
-  /// Names of every populated component, sorted alphabetically (the
-  /// historical std::map<string> iteration order).
-  [[nodiscard]] std::vector<std::string> component_names() const {
-    std::vector<std::string> names;
-    names.reserve(slots_.size());
-    for (const auto& [id, slot] : slots_) names.emplace_back(name_of(id));
-    std::sort(names.begin(), names.end());
-    return names;
+  /// True once anything was folded into `id`.
+  [[nodiscard]] bool populated(ComponentId id) const {
+    const Slot& slot = slots_.at(id);
+    return slot.total_ns != 0 || slot.samples != 0;
   }
 
   void merge(const SpanBreakdown& o) {
-    for (const auto& [id, slot] : o.slots_) {
-      // Dynamic ids are per-instance: remap through the name so two
-      // breakdowns that interned in different orders still merge right.
-      const ComponentId mine =
-          id < trace::kPredefinedComponents
-              ? id
-              : intern(std::string(o.name_of(id)));
-      add_total(mine, slot.total_ns, slot.samples);
+    for (ComponentId id = 0; id < trace::kPredefinedComponents; ++id) {
+      add_total(id, o.slots_[id].total_ns, o.slots_[id].samples);
     }
   }
 
-  void reset() {
-    slots_.clear();
-    dynamic_.clear();
-  }
+  void reset() { slots_ = {}; }
 
  private:
   struct Slot {
@@ -151,20 +89,7 @@ class SpanBreakdown {
     std::uint64_t samples = 0;
   };
 
-  [[nodiscard]] std::optional<ComponentId> find(std::string_view name) const {
-    if (const auto c = trace::component_from_name(name)) {
-      return trace::to_id(*c);
-    }
-    for (std::size_t i = 0; i < dynamic_.size(); ++i) {
-      if (dynamic_[i] == name) {
-        return static_cast<ComponentId>(trace::kPredefinedComponents + i);
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::map<ComponentId, Slot> slots_;
-  std::vector<std::string> dynamic_;
+  std::array<Slot, trace::kPredefinedComponents> slots_{};
 };
 
 }  // namespace prdma::stats

@@ -1,15 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace prdma::trace {
 
-/// Interned category handle for spans, counters and breakdown slots.
-/// Values below Component::kCount are the predefined components every
-/// instrumented layer shares; a Tracer (or SpanBreakdown) can intern
-/// additional names at runtime, which get ids starting at kCount.
+/// Numeric handle of a Component: the index of its tracer and
+/// breakdown slot. Every valid id is below kPredefinedComponents.
 using ComponentId = std::uint16_t;
 
 /// Predefined span/counter categories — the phases the paper's
@@ -54,17 +51,13 @@ constexpr ComponentId to_id(Component c) {
 /// Number of predefined components.
 inline constexpr ComponentId kPredefinedComponents = to_id(Component::kCount);
 
-/// Stable name of a predefined component (what the Chrome trace and
-/// the breakdown string shim use).
+/// Stable name of a predefined component (the Chrome trace event name
+/// and the breakdown's JSON key).
 [[nodiscard]] std::string_view component_name(Component c);
 [[nodiscard]] std::string_view component_name(ComponentId id);
 
 /// Chrome trace "cat" group of a predefined component: "host", "net",
-/// "rnic" or "rpc" (dynamic components report "user").
+/// "rnic", "rpc", "mem" or "sim".
 [[nodiscard]] std::string_view component_category(ComponentId id);
-
-/// Reverse lookup over the predefined names; nullopt for unknown names.
-[[nodiscard]] std::optional<Component> component_from_name(
-    std::string_view name);
 
 }  // namespace prdma::trace

@@ -37,7 +37,7 @@ std::string chrome_fragment(const Tracer& tracer, std::uint32_t pid,
     out += ",\n";
     if (ev.kind == 1) {
       out += R"({"name":")";
-      out += tracer.name_of(ev.comp);
+      out += component_name(ev.comp);
       out += R"(","cat":")";
       out += component_category(ev.comp);
       out += R"(","ph":"C","ts":)";
@@ -50,7 +50,7 @@ std::string chrome_fragment(const Tracer& tracer, std::uint32_t pid,
       continue;
     }
     out += R"({"name":")";
-    out += tracer.name_of(ev.comp);
+    out += component_name(ev.comp);
     out += R"(","cat":")";
     out += component_category(ev.comp);
     out += R"(","ph":"X","ts":)";

@@ -48,27 +48,15 @@ std::string_view component_name(Component c) {
   return kNames[to_id(c)].name;
 }
 
-std::string_view component_name(ComponentId id) {
-  return id < kPredefinedComponents ? kNames[id].name
-                                    : std::string_view("dynamic");
-}
+std::string_view component_name(ComponentId id) { return kNames.at(id).name; }
 
 std::string_view component_category(ComponentId id) {
-  return id < kPredefinedComponents ? kNames[id].category
-                                    : std::string_view("user");
-}
-
-std::optional<Component> component_from_name(std::string_view name) {
-  for (ComponentId i = 0; i < kPredefinedComponents; ++i) {
-    if (kNames[i].name == name) return static_cast<Component>(i);
-  }
-  return std::nullopt;
+  return kNames.at(id).category;
 }
 
 void Tracer::enable(Mode mode, std::size_t capacity) {
   mode_ = mode;
-  totals_.assign(kPredefinedComponents, Slot{});
-  dynamic_.clear();
+  totals_ = {};
   ring_.clear();
   head_ = 0;
   if (mode_ == Mode::kFull) {
@@ -77,35 +65,11 @@ void Tracer::enable(Mode mode, std::size_t capacity) {
   ring_.shrink_to_fit();
 }
 
-ComponentId Tracer::intern(std::string_view name) {
-  if (const auto c = component_from_name(name)) return to_id(*c);
-  for (std::size_t i = 0; i < dynamic_.size(); ++i) {
-    if (dynamic_[i] == name) {
-      return static_cast<ComponentId>(kPredefinedComponents + i);
-    }
-  }
-  dynamic_.emplace_back(name);
-  if (totals_.size() < kPredefinedComponents) {
-    totals_.resize(kPredefinedComponents);
-  }
-  totals_.emplace_back();
-  return static_cast<ComponentId>(totals_.size() - 1);
-}
-
-std::string_view Tracer::name_of(ComponentId id) const {
-  if (id < kPredefinedComponents) return component_name(id);
-  const std::size_t idx = id - kPredefinedComponents;
-  return idx < dynamic_.size() ? std::string_view(dynamic_[idx])
-                               : std::string_view("?");
-}
-
 void Tracer::record_span(ComponentId id, std::uint64_t corr, sim::SimTime t0,
                          sim::SimTime t1, std::uint16_t track) {
   assert(t1 >= t0);
-  if (id < totals_.size()) {
-    totals_[id].total_ns += t1 - t0;
-    ++totals_[id].samples;
-  }
+  totals_[id].total_ns += t1 - t0;
+  ++totals_[id].samples;
   if (mode_ == Mode::kFull) {
     push(TraceEvent{t0, t1, corr, id, track, /*kind=*/0});
   }
@@ -113,25 +77,17 @@ void Tracer::record_span(ComponentId id, std::uint64_t corr, sim::SimTime t0,
 
 void Tracer::record_counter(ComponentId id, sim::SimTime t,
                             std::uint64_t value, std::uint16_t track) {
-  if (id < totals_.size()) {
-    ++totals_[id].samples;
-    totals_[id].last_value = value;
-  }
+  ++totals_[id].samples;
+  totals_[id].last_value = value;
   if (mode_ == Mode::kFull) {
     push(TraceEvent{t, t, value, id, track, /*kind=*/1});
   }
 }
 
 void Tracer::merge_totals_from(const Tracer& other) {
-  for (ComponentId id = 0; id < other.component_count(); ++id) {
-    const std::uint64_t total = other.total_ns(id);
-    const std::uint64_t samples = other.samples(id);
-    if (total == 0 && samples == 0) continue;
-    const ComponentId mine =
-        id < kPredefinedComponents ? id : intern(other.name_of(id));
-    if (mine >= totals_.size()) totals_.resize(mine + 1);
-    totals_[mine].total_ns += total;
-    totals_[mine].samples += samples;
+  for (ComponentId id = 0; id < kPredefinedComponents; ++id) {
+    totals_[id].total_ns += other.totals_[id].total_ns;
+    totals_[id].samples += other.totals_[id].samples;
   }
 }
 

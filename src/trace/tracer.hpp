@@ -1,9 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -68,11 +67,6 @@ class Tracer {
     if (mode_ == Mode::kOff) return;
     record_span(to_id(c), corr, t0, t1, track);
   }
-  void span(ComponentId id, std::uint64_t corr, sim::SimTime t0,
-            sim::SimTime t1, std::uint16_t track = 0) {
-    if (mode_ == Mode::kOff) return;
-    record_span(id, corr, t0, t1, track);
-  }
 
   /// Records a span whose *duration* is a charged software cost rather
   /// than a wall interval: [t0, t0 + charged_ns]. This is how the
@@ -91,44 +85,29 @@ class Tracer {
     record_counter(to_id(c), t, value, track);
   }
 
-  // ---- interning ----
-
-  /// Returns the id for `name`: a predefined component when the name
-  /// matches one, otherwise a per-tracer dynamic id (deterministic:
-  /// first-intern order). May allocate — keep off hot paths.
-  ComponentId intern(std::string_view name);
-
-  [[nodiscard]] std::string_view name_of(ComponentId id) const;
-  [[nodiscard]] ComponentId component_count() const {
-    return static_cast<ComponentId>(totals_.size());
-  }
-
   // ---- aggregates (exact regardless of ring wrap) ----
 
   [[nodiscard]] std::uint64_t total_ns(Component c) const {
     return total_ns(to_id(c));
   }
   [[nodiscard]] std::uint64_t total_ns(ComponentId id) const {
-    return id < totals_.size() ? totals_[id].total_ns : 0;
+    return totals_.at(id).total_ns;
   }
   [[nodiscard]] std::uint64_t samples(Component c) const {
     return samples(to_id(c));
   }
   [[nodiscard]] std::uint64_t samples(ComponentId id) const {
-    return id < totals_.size() ? totals_[id].samples : 0;
+    return totals_.at(id).samples;
   }
   [[nodiscard]] std::uint64_t last_counter(Component c) const {
-    const ComponentId id = to_id(c);
-    return id < totals_.size() ? totals_[id].last_value : 0;
+    return totals_[to_id(c)].last_value;
   }
 
   /// Folds another tracer's aggregate totals into this one (partition
   /// shard tracers merging into the cluster's main tracer after a
-  /// parallel run). Predefined components add slot-wise; dynamic
-  /// components are matched by name (interned here on first sight), so
-  /// merging in partition order is deterministic. Counter last-values
-  /// and ring events are not merged — kFull tracing is confined to
-  /// single-partition runs.
+  /// parallel run), slot by slot. Counter last-values and ring events
+  /// are not merged — kFull tracing is confined to single-partition
+  /// runs.
   void merge_totals_from(const Tracer& other);
 
   // ---- ring access (kFull only) ----
@@ -155,8 +134,7 @@ class Tracer {
   void push(const TraceEvent& ev);
 
   Mode mode_ = Mode::kOff;
-  std::vector<Slot> totals_;           ///< indexed by ComponentId
-  std::vector<std::string> dynamic_;   ///< names of ids >= kPredefined
+  std::array<Slot, kPredefinedComponents> totals_{};  ///< by ComponentId
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;               ///< monotonic; ring index = head_ % cap
 };

@@ -10,11 +10,13 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_util/flags.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/micro.hpp"
+#include "bench_util/report.hpp"
 #include "bench_util/sweep.hpp"
 #include "bench_util/table.hpp"
 
@@ -182,6 +184,34 @@ TEST(RunMicro, ShadowReadPathMatchesFullAndCopiesOnlyHeaders) {
   }
 }
 
+// ----------------------------------------------------------------- report
+
+TEST(Report, BreakdownEmitsPopulatedComponentsInNameOrder) {
+  // A small traced durable cell: the row's breakdown object lists only
+  // the components that recorded time, keyed by name in alphabetical
+  // order, with mean ns per op and share of the summed total.
+  MicroConfig cfg;
+  cfg.object_size = 1024;
+  cfg.ops = 100;
+  cfg.read_ratio = 0.5;
+  const auto res = run_micro(rpcs::System::kWFlushRpc, cfg);
+  const std::string row = micro_result_json("cell", res).dump(0);
+  const std::size_t at = row.find("\"breakdown\":");
+  ASSERT_NE(at, std::string::npos) << row;
+  EXPECT_EQ(row.substr(at),
+            R"("breakdown":{)"
+            R"("data_persist":{"mean_ns":1919.63,"share":0.1414611032},)"
+            R"("host_sw":{"mean_ns":1979.19,"share":0.1458501903},)"
+            R"("log_append":{"mean_ns":305.94,"share":0.02254528733},)"
+            R"("net_flight":{"mean_ns":6012.92,"share":0.4431032526},)"
+            R"("net_serialize":{"mean_ns":298.51,"share":0.02199775682},)"
+            R"("receiver_sw":{"mean_ns":347.12,"share":0.02557991808},)"
+            R"("rnic_dma":{"mean_ns":1490.72,"share":0.109853928},)"
+            R"("rnic_wflush":{"mean_ns":87.71,"share":0.00646351295},)"
+            R"("sender_sw":{"mean_ns":680.43,"share":0.0501421516},)"
+            R"("worker":{"mean_ns":447.85,"share":0.03300289904}}})");
+}
+
 // ----------------------------------------------------------------- table
 
 TEST(TablePrinter, AlignsColumnsAndSeparates) {
@@ -213,14 +243,13 @@ TEST(Flags, ParsesKeyValueAndBoolean) {
   EXPECT_TRUE(f.flag("quick"));
   EXPECT_FALSE(f.flag("missing"));
   EXPECT_EQ(f.u64("missing", 42), 42u);
-  EXPECT_DOUBLE_EQ(f.real("missing", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(f.f64("missing", 1.5), 1.5);
 }
 
 TEST(Flags, ParsesReals) {
   const char* argv[] = {"prog", "--load=0.85"};
   Flags f(2, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(f.real("load", 0.0), 0.85);
-  EXPECT_DOUBLE_EQ(f.f64("load", 0.0), 0.85);  // real() is the f64 shim
+  EXPECT_DOUBLE_EQ(f.f64("load", 0.0), 0.85);
 }
 
 TEST(Flags, TypedStringAccessor) {

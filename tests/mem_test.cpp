@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -918,21 +917,6 @@ TEST(BufferPool, OversizeAcquireFallsBackToHeap) {
   r.reset();
   EXPECT_EQ(pool.stats().recycles, 1u);
   EXPECT_EQ(pool.stats().slab_bytes, 0u) << "oversize must not grow a class";
-}
-
-TEST(BufferPool, LegacyEnvDisablesPooling) {
-  ::setenv("PRDMA_LEGACY_DATAPLANE", "1", 1);
-  Simulator sim;
-  BufferPool pool(sim);
-  ::unsetenv("PRDMA_LEGACY_DATAPLANE");
-  EXPECT_TRUE(pool.legacy_mode());
-  PayloadRef r = pool.make_bytes(pattern(64));
-  EXPECT_EQ(std::vector<std::byte>(r.bytes().begin(), r.bytes().end()),
-            pattern(64));
-  r.reset();
-  EXPECT_EQ(pool.stats().slab_bytes, 0u) << "legacy mode never builds slabs";
-  EXPECT_EQ(pool.stats().acquires, 1u);
-  EXPECT_EQ(pool.stats().recycles, 1u);
 }
 
 TEST(BufferPool, AsanPoisonsRecycledDataAreas) {

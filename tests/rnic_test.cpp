@@ -54,7 +54,7 @@ struct FabricFixture : ::testing::Test {
 TEST_F(FabricFixture, DeliversWithPropagationAndSerialization) {
   net::Fabric fab(sim, rng, lp);
   SimTime arrival = 0;
-  fab.register_node(2, [&](Packet) { arrival = sim.now(); });
+  fab.register_node(2, sim, [&](Packet) { arrival = sim.now(); });
   Packet p;
   p.src = 1;
   p.dst = 2;
@@ -71,7 +71,7 @@ TEST_F(FabricFixture, DeliversWithPropagationAndSerialization) {
 TEST_F(FabricFixture, SerializationQueuesSameDirection) {
   net::Fabric fab(sim, rng, lp);
   std::vector<SimTime> arrivals;
-  fab.register_node(2, [&](Packet) { arrivals.push_back(sim.now()); });
+  fab.register_node(2, sim, [&](Packet) { arrivals.push_back(sim.now()); });
   for (int i = 0; i < 3; ++i) {
     Packet p;
     p.src = 1;
@@ -94,8 +94,8 @@ TEST_F(FabricFixture, ReverseDirectionDoesNotQueue) {
   net::Fabric fab(sim, rng, lp);
   SimTime fwd = 0;
   SimTime rev = 0;
-  fab.register_node(2, [&](Packet) { fwd = sim.now(); });
-  fab.register_node(1, [&](Packet) { rev = sim.now(); });
+  fab.register_node(2, sim, [&](Packet) { fwd = sim.now(); });
+  fab.register_node(1, sim, [&](Packet) { rev = sim.now(); });
   Packet big;
   big.src = 1;
   big.dst = 2;
@@ -115,7 +115,7 @@ TEST_F(FabricFixture, ReverseDirectionDoesNotQueue) {
 TEST_F(FabricFixture, BackgroundLoadInflatesLatency) {
   net::Fabric idle_fab(sim, rng, lp);
   SimTime idle_arrival = 0;
-  idle_fab.register_node(2, [&](Packet) { idle_arrival = sim.now(); });
+  idle_fab.register_node(2, sim, [&](Packet) { idle_arrival = sim.now(); });
   Packet p;
   p.src = 1;
   p.dst = 2;
@@ -131,7 +131,7 @@ TEST_F(FabricFixture, BackgroundLoadInflatesLatency) {
   busy.background_load = 0.7;
   net::Fabric busy_fab(sim2, rng2, busy);
   SimTime busy_arrival = 0;
-  busy_fab.register_node(2, [&](Packet) { busy_arrival = sim2.now(); });
+  busy_fab.register_node(2, sim2, [&](Packet) { busy_arrival = sim2.now(); });
   busy_fab.send(p);
   sim2.run();
   EXPECT_GT(busy_arrival, idle_arrival + idle_arrival / 2);
@@ -141,7 +141,7 @@ TEST_F(FabricFixture, LossDropsPackets) {
   lp.loss_probability = 1.0;
   net::Fabric fab(sim, rng, lp);
   int got = 0;
-  fab.register_node(2, [&](Packet) { ++got; });
+  fab.register_node(2, sim, [&](Packet) { ++got; });
   Packet p;
   p.src = 1;
   p.dst = 2;
@@ -154,7 +154,7 @@ TEST_F(FabricFixture, LossDropsPackets) {
 
 TEST_F(FabricFixture, UnregisteredDestinationDropsOnArrival) {
   net::Fabric fab(sim, rng, lp);
-  fab.register_node(2, [](Packet) {});
+  fab.register_node(2, sim, [](Packet) {});
   fab.unregister_node(2);
   Packet p;
   p.src = 1;

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string_view>
 
@@ -326,19 +325,6 @@ void expect_same_pin(const RunPin& a, const RunPin& b, std::string_view what) {
   EXPECT_EQ(a.latency_sum, b.latency_sum) << what;
   EXPECT_EQ(a.ops_processed, b.ops_processed) << what;
   EXPECT_EQ(a.pm_bytes_written, b.pm_bytes_written) << what;
-}
-
-TEST(DataPlane, PooledBuffersMatchLegacyHeapDataPlane) {
-  // PRDMA_LEGACY_DATAPLANE makes every payload block a fresh heap
-  // allocation (the pre-pool behaviour). Pooling must be invisible to
-  // the model: identical events, times and device accounting.
-  for (System s : {System::kWFlushRpc, System::kFaRM, System::kSFlushRpc}) {
-    const RunPin pooled = pinned_run(s, mem::ContentMode::kFull, 777);
-    ::setenv("PRDMA_LEGACY_DATAPLANE", "1", 1);
-    const RunPin legacy = pinned_run(s, mem::ContentMode::kFull, 777);
-    ::unsetenv("PRDMA_LEGACY_DATAPLANE");
-    expect_same_pin(pooled, legacy, name_of(s));
-  }
 }
 
 TEST(DataPlane, ShadowContentModeMatchesFullStats) {

@@ -190,38 +190,55 @@ TEST(Summary, MergeWithEmptySides) {
 
 // ------------------------------------------------------------- Breakdown
 
+using trace::Component;
+
 TEST(Breakdown, SharesSumToOne) {
   SpanBreakdown bd;
-  bd.add("sender_sw", 100);
-  bd.add("rtt", 700);
-  bd.add("receiver_sw", 200);
-  EXPECT_DOUBLE_EQ(bd.share("sender_sw") + bd.share("rtt") +
-                       bd.share("receiver_sw"),
+  bd.add(Component::kSenderSw, 100);
+  bd.add(Component::kRtt, 700);
+  bd.add(Component::kReceiverSw, 200);
+  EXPECT_DOUBLE_EQ(bd.share(Component::kSenderSw) + bd.share(Component::kRtt) +
+                       bd.share(Component::kReceiverSw),
                    1.0);
-  EXPECT_DOUBLE_EQ(bd.share("rtt"), 0.7);
+  EXPECT_DOUBLE_EQ(bd.share(Component::kRtt), 0.7);
+  EXPECT_DOUBLE_EQ(bd.share(Component::kWorker), 0.0);
   EXPECT_EQ(bd.total_ns(), 1000u);
 }
 
 TEST(Breakdown, MeanPerOperation) {
   SpanBreakdown bd;
-  bd.add("rtt", 100);
-  bd.add("rtt", 300);
-  EXPECT_DOUBLE_EQ(bd.mean_ns("rtt", 2), 200.0);
-  EXPECT_DOUBLE_EQ(bd.mean_ns("missing", 2), 0.0);
-  EXPECT_DOUBLE_EQ(bd.mean_ns("rtt", 0), 0.0);
+  bd.add(Component::kRtt, 100);
+  bd.add(Component::kRtt, 300);
+  EXPECT_DOUBLE_EQ(bd.mean_ns(Component::kRtt, 2), 200.0);
+  EXPECT_DOUBLE_EQ(bd.mean_ns(Component::kWorker, 2), 0.0);
+  EXPECT_DOUBLE_EQ(bd.mean_ns(Component::kRtt, 0), 0.0);
 }
 
 TEST(Breakdown, MergeAccumulates) {
   SpanBreakdown a;
   SpanBreakdown b;
-  a.add("x", 10);
-  b.add("x", 20);
-  b.add("y", 5);
+  a.add(Component::kRtt, 10);
+  b.add(Component::kRtt, 20);
+  b.add(Component::kSenderSw, 5);
+  b.add_total(trace::to_id(Component::kWorker), 0, 0);
   a.merge(b);
+  // Slot by slot: totals and sample counts add per component.
   EXPECT_EQ(a.total_ns(), 35u);
-  EXPECT_EQ(a.component_names().size(), 2u);
+  EXPECT_DOUBLE_EQ(a.mean_ns(Component::kRtt, 1), 30.0);
+  EXPECT_EQ(a.samples(trace::to_id(Component::kRtt)), 2u);
+  EXPECT_DOUBLE_EQ(a.mean_ns(Component::kSenderSw, 1), 5.0);
+  EXPECT_EQ(a.samples(trace::to_id(Component::kSenderSw)), 1u);
+  EXPECT_EQ(a.total_samples(), 3u);
+  std::vector<trace::ComponentId> populated;
+  for (trace::ComponentId id = 0; id < trace::kPredefinedComponents; ++id) {
+    if (a.populated(id)) populated.push_back(id);
+  }
+  EXPECT_EQ(populated, (std::vector<trace::ComponentId>{
+                           trace::to_id(Component::kSenderSw),
+                           trace::to_id(Component::kRtt)}));
   a.reset();
   EXPECT_EQ(a.total_ns(), 0u);
+  EXPECT_FALSE(a.populated(trace::to_id(Component::kRtt)));
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ DriveLog drive_p2p(bool install_topology) {
 
   DriveLog log;
   for (net::NodeId n = 0; n < 3; ++n) {
-    f.register_node(n, [&log, &s](net::Packet p) {
+    f.register_node(n, s, [&log, &s](net::Packet p) {
       log.arrivals.emplace_back(s.now(), p.wr_id);
     });
   }
@@ -250,7 +250,7 @@ IncastStats incast(std::uint32_t clients, bool pfc) {
   cfg.pfc_threshold = 1024;
   f.set_topology(cfg, clients + 1);
   for (net::NodeId n = 0; n <= clients; ++n) {
-    f.register_node(n, [](net::Packet) {});
+    f.register_node(n, s, [](net::Packet) {});
   }
   for (net::NodeId c = 1; c <= clients; ++c) {
     s.schedule_at(0, [&f, c] {
@@ -452,7 +452,7 @@ TEST(FaultInjection, SwitchCrashIsAccountedAndHeals) {
 
   std::uint64_t got = 0;
   for (net::NodeId n = 0; n < 3; ++n) {
-    f.register_node(n, [&got](net::Packet) { ++got; });
+    f.register_node(n, s, [&got](net::Packet) { ++got; });
   }
   const auto fire = [&s, &f](sim::SimTime t) {
     s.schedule_at(t, [&f] {

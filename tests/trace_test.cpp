@@ -13,7 +13,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util/micro.hpp"
@@ -92,18 +94,24 @@ TEST(Tracer, RingWrapKeepsNewestAndExactTotals) {
   EXPECT_EQ(t.samples(trace::Component::kNetFlight), 20u);
 }
 
-TEST(Tracer, InternSharesPredefinedIdsAndAddsDynamicOnes) {
-  trace::Tracer t;
-  t.enable(trace::Mode::kCounters);
-  EXPECT_EQ(t.intern("rnic_dma"), trace::to_id(trace::Component::kRnicDma));
-  const auto a = t.intern("custom_a");
-  const auto b = t.intern("custom_b");
-  EXPECT_EQ(a, trace::kPredefinedComponents);
-  EXPECT_EQ(b, trace::kPredefinedComponents + 1);
-  EXPECT_EQ(t.intern("custom_a"), a);
-  EXPECT_EQ(t.name_of(a), "custom_a");
-  t.span(a, 0, 0, 42);
-  EXPECT_EQ(t.total_ns(a), 42u);
+TEST(Tracer, ComponentNamesCoverEveryPredefinedComponent) {
+  // Every enum value has a distinct, non-empty name and a Chrome
+  // category from the fixed set the trace export groups by.
+  const std::set<std::string_view> categories{"host", "net", "rnic",
+                                              "rpc",  "mem", "sim"};
+  std::set<std::string_view> names;
+  for (trace::ComponentId id = 0; id < trace::kPredefinedComponents; ++id) {
+    const std::string_view name = trace::component_name(id);
+    EXPECT_FALSE(name.empty()) << id;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    EXPECT_EQ(trace::component_name(static_cast<trace::Component>(id)), name);
+    EXPECT_TRUE(categories.count(trace::component_category(id)) == 1)
+        << name << ": " << trace::component_category(id);
+  }
+  EXPECT_EQ(names.size(), trace::kPredefinedComponents);
+  EXPECT_EQ(trace::component_name(trace::Component::kRnicDma), "rnic_dma");
+  EXPECT_EQ(trace::component_category(trace::to_id(trace::Component::kRnicDma)),
+            "rnic");
 }
 
 TEST(TraceExport, FragmentContainsSpansCountersAndMetadata) {
