@@ -33,7 +33,9 @@
 //     run is byte-identical to the serial engine and recording
 //     events/sec + speedup per thread count (speedup is only
 //     meaningful when the host has the cores; hw_concurrency lands in
-//     the JSON so the CI gate can tell).
+//     the JSON so the CI gate can tell), the workers each run kept, and
+//     a synthetic even load over as many partitions, asserting the
+//     engine keeps every worker there.
 //
 // Flags: --events=N (default 1000000), --ops=N (micro cell, default
 //        2000), --pingers=N (concurrently pending events, default
@@ -49,6 +51,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
 #include <utility>
@@ -59,10 +62,12 @@
 #include "bench_util/flags.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/micro.hpp"
+#include "bench_util/report.hpp"
 #include "bench_util/sweep.hpp"
 #include "bench_util/table.hpp"
 #include "net/fabric.hpp"
 #include "sim/inline_function.hpp"
+#include "sim/partitioned_engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "trace/tracer.hpp"
@@ -205,6 +210,40 @@ double run_timer_churn(sim::Simulator& eng, std::uint64_t total,
 double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Even load over `parts` per-node partitions, one static epoch per
+/// lookahead window: every partition runs a burst of local events per
+/// window and sends one event to the next partition. Returns the
+/// workers the partitioned engine kept. On such a load dropping any
+/// worker lengthens the critical path, so the answer must be
+/// min(threads, parts).
+unsigned even_load_workers(std::size_t parts, unsigned threads) {
+  constexpr sim::SimTime kL = 100;
+  constexpr std::uint64_t kWindows = 64;
+  constexpr std::uint64_t kBurst = 8;
+  sim::EngineConfig cfg;
+  cfg.threads = threads;
+  cfg.partitioning = sim::EngineConfig::Partitioning::kPerNode;
+  cfg.adaptive_epochs = false;
+  sim::PartitionedEngine eng(parts, cfg);
+  eng.set_lookahead(kL);
+  std::function<void(std::size_t, std::uint64_t)> tick =
+      [&](std::size_t p, std::uint64_t k) {
+        for (std::uint64_t i = 1; i <= kBurst; ++i) {
+          eng.shard(p).schedule_at(k * kL + i, [] {});
+        }
+        eng.schedule_remote(p, (p + 1) % parts, (k + 1) * kL + kL / 2, [] {});
+        if (k + 1 < kWindows) {
+          eng.shard(p).schedule_at((k + 1) * kL,
+                                   [&tick, p, k] { tick(p, k + 1); });
+        }
+      };
+  for (std::size_t p = 0; p < parts; ++p) {
+    eng.shard(p).schedule_at(0, [&tick, p] { tick(p, 0); });
+  }
+  eng.run();
+  return eng.workers_used();
 }
 
 }  // namespace
@@ -616,16 +655,39 @@ int main(int argc, char** argv) {
         .set("partitions", bench::Json::num(res.engine_partitions))
         .set("epochs", bench::Json::num(res.engine_epochs))
         .set("barrier_wall_ns", bench::Json::num(res.engine_barrier_wall_ns))
+        .set("workers_used", bench::Json::num(static_cast<std::uint64_t>(
+                                 res.engine_workers_used)))
+        .set("max_partition_event_share",
+             bench::Json::num(res.engine_max_partition_event_share))
         .set("identical", bench::Json::boolean(same));
     scaling_rows.push(std::move(row));
   }
   scaling.print();
-  std::printf("  byte-identical to serial at every thread count: %s\n\n",
+  std::printf("  byte-identical to serial at every thread count: %s\n",
               scaling_identical ? "yes" : "NO — DIVERGED");
+  // The scaling cell above is server-bound (its hottest partition runs
+  // over half the events), so the engine rightly runs it on fewer
+  // workers than allowed; an even load must keep every one.
+  bench::Json even_rows = bench::Json::array();
+  bool even_uses_all = true;
+  for (const unsigned t : kScaleThreads) {
+    const unsigned used =
+        even_load_workers(static_cast<std::size_t>(scale_nodes), t);
+    even_uses_all = even_uses_all && used == t;
+    bench::Json row = bench::Json::object();
+    row.set("threads", bench::Json::num(static_cast<std::uint64_t>(t)))
+        .set("workers_used", bench::Json::num(static_cast<std::uint64_t>(used)));
+    even_rows.push(std::move(row));
+  }
+  std::printf("  even load over %llu partitions keeps every worker: %s\n\n",
+              static_cast<unsigned long long>(scale_nodes),
+              even_uses_all ? "yes" : "NO — WORKERS SHED");
 
   // ---- 6. JSON record ---------------------------------------------
   bench::Json doc = bench::Json::object();
+  // engine_perf has no quick mode: every record is a full run.
   doc.set("bench", bench::Json::str("engine_perf"))
+      .set("provenance", bench::provenance(false))
       .set("events", bench::Json::num(events))
       .set("events_per_sec", bench::Json::num(new_eps))
       .set("timer_churn_events_per_sec", bench::Json::num(churn_eps))
@@ -664,7 +726,8 @@ int main(int argc, char** argv) {
       .set("ops", bench::Json::num(scale_ops))
       .set("hw_concurrency", bench::Json::num(static_cast<std::uint64_t>(hw_threads)))
       .set("identical", bench::Json::boolean(scaling_identical))
-      .set("rows", std::move(scaling_rows));
+      .set("rows", std::move(scaling_rows))
+      .set("even_load_rows", std::move(even_rows));
   doc.set("engine_scaling", std::move(scaling_doc));
   if (!bench::emit_json(out, doc)) {
     std::printf("\nfailed to open %s for writing\n", out.c_str());
@@ -674,6 +737,7 @@ int main(int argc, char** argv) {
 
   bench::Json dp = bench::Json::object();
   dp.set("bench", bench::Json::str("dataplane"))
+      .set("provenance", bench::provenance(false))
       .set("ops", bench::Json::num(micro_ops))
       .set("cells", std::move(plane_cells))
       .set("mode_parity", bench::Json::boolean(plane_parity))
@@ -694,7 +758,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_dataplane.c_str());
 
   return identical && trace_inert && steady_allocs == 0 && plane_parity &&
-                 plane_steady && scaling_identical
+                 plane_steady && scaling_identical && even_uses_all
              ? 0
              : 1;
 }

@@ -35,6 +35,7 @@
 #include "bench_util/flags.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/micro.hpp"
+#include "bench_util/report.hpp"
 #include "bench_util/table.hpp"
 #include "net/topology.hpp"
 
@@ -160,29 +161,25 @@ int main(int argc, char** argv) {
 
     bool identical = true;
     bench::Json runs = bench::Json::array();
-    {
+    const auto add_run = [&runs](unsigned threads, const TimedRun& r,
+                                 bool same) {
       bench::Json row = bench::Json::object();
-      row.set("threads", bench::Json::num(std::uint64_t{1}))
-          .set("wall_s", bench::Json::num(serial.wall_s))
-          .set("epochs", bench::Json::num(serial.res.engine_epochs))
-          .set("barrier_wall_ns",
-               bench::Json::num(serial.res.engine_barrier_wall_ns))
-          .set("identical", bench::Json::boolean(true));
+      row.set("threads", bench::Json::num(static_cast<std::uint64_t>(threads)))
+          .set("wall_s", bench::Json::num(r.wall_s))
+          .set("epochs", bench::Json::num(r.res.engine_epochs))
+          .set("barrier_wall_ns", bench::Json::num(r.res.engine_barrier_wall_ns))
+          .set("workers_used", bench::Json::num(static_cast<std::uint64_t>(
+                                   r.res.engine_workers_used)))
+          .set("identical", bench::Json::boolean(same));
       runs.push(std::move(row));
-    }
+    };
+    add_run(1, serial, true);
     for (const unsigned threads : thread_counts) {
       mc.engine_threads = threads;
       const TimedRun sharded = timed_run(mc);
       const bool same = run_identical(serial.res, sharded.res);
       identical = identical && same;
-      bench::Json row = bench::Json::object();
-      row.set("threads", bench::Json::num(static_cast<std::uint64_t>(threads)))
-          .set("wall_s", bench::Json::num(sharded.wall_s))
-          .set("epochs", bench::Json::num(sharded.res.engine_epochs))
-          .set("barrier_wall_ns",
-               bench::Json::num(sharded.res.engine_barrier_wall_ns))
-          .set("identical", bench::Json::boolean(same));
-      runs.push(std::move(row));
+      add_run(threads, sharded, same);
     }
     deterministic = deterministic && identical;
     const double rss_mb = peak_rss_mb();
@@ -218,6 +215,8 @@ int main(int argc, char** argv) {
         .set("engine_partitions",
              bench::Json::num(serial.res.engine_partitions))
         .set("engine_epochs", bench::Json::num(serial.res.engine_epochs))
+        .set("max_partition_event_share",
+             bench::Json::num(serial.res.engine_max_partition_event_share))
         .set("runs", std::move(runs))
         .set("identical", bench::Json::boolean(identical));
     rows.push(std::move(row));
@@ -392,6 +391,7 @@ int main(int argc, char** argv) {
 
   bench::Json doc = bench::Json::object();
   doc.set("bench", bench::Json::str("topology"))
+      .set("provenance", bench::provenance(quick))
       .set("ops_per_host", bench::Json::num(ops_per_host))
       .set("hosts_per_rack",
            bench::Json::num(static_cast<std::uint64_t>(kHostsPerRack)))

@@ -15,8 +15,30 @@ the first failed assert.
 import json
 import sys
 
+PROVENANCE_KEYS = ('source', 'build_type', 'compiler', 'hardware_concurrency',
+                   'nproc_online', 'mode')
+
+
+def check_provenance(doc):
+    """Committed records say what produced them (bench::provenance)."""
+    prov = doc.get('provenance')
+    assert isinstance(prov, dict), f"{doc['bench']}: no provenance block"
+    missing = [k for k in PROVENANCE_KEYS if k not in prov]
+    assert not missing, f"{doc['bench']}: provenance lacks {missing}"
+    assert prov['source'], prov
+    assert prov['mode'] in ('quick', 'full'), prov
+    assert prov['hardware_concurrency'] >= 1 and prov['nproc_online'] >= 1, \
+        prov
+
+
+def check_workers(used, threads, partitions, what):
+    """The engine may shed workers, never run more than it was given."""
+    assert 1 <= used <= min(threads, partitions), \
+        f'{what}: workers_used {used} outside [1, min({threads}, {partitions})]'
+
 
 def check_engine(eng, hw_concurrency):
+    check_provenance(eng)
     assert eng['sweep_identical'] is True
     assert eng['tracer_inert'] is True
     assert eng['timer_churn_events_per_sec'] > 0, \
@@ -32,6 +54,15 @@ def check_engine(eng, hw_concurrency):
     for r in scaling['rows']:
         assert r['identical'] is True, r
         assert r['events_per_sec'] > 0, r
+        check_workers(r['workers_used'], r['threads'], r['partitions'], r)
+        assert 0 < r['max_partition_event_share'] <= 1, r
+    # On an even load every worker shortens the critical path: the
+    # worker-count rule must keep them all, or it has undone scaling.
+    even = scaling['even_load_rows']
+    assert {int(r['threads']) for r in even} == {1, 2, 4, 8}, even
+    for r in even:
+        assert r['workers_used'] == r['threads'], \
+            f'even load shed workers: {r}'
     # Wall-clock speedup is only meaningful with real cores under the
     # workers; gate the scaling win when the runner has them.
     if hw_concurrency >= 8:
@@ -56,6 +87,7 @@ def check_fig20(res, hw_concurrency):
 
 
 def check_dataplane(dp, hw_concurrency):
+    check_provenance(dp)
     assert dp['mode_parity'] is True, 'kShadow stats drifted from kFull'
     assert dp['steady_ok'] is True
     assert dp['steady_event_pool_allocs'] == 0
@@ -92,6 +124,7 @@ def check_dataplane(dp, hw_concurrency):
 
 
 def check_topology(topo, hw_concurrency):
+    check_provenance(topo)
     assert topo['deterministic'] is True, \
         'switched fabric diverged between serial and partitioned runs'
     topo_rows = topo['rows']
@@ -103,6 +136,10 @@ def check_topology(topo, hw_concurrency):
         runs = r['runs']
         assert {int(t['threads']) for t in runs} == {1, 2, 4, 8}, r
         assert all(t['identical'] is True for t in runs), r
+        for t in runs:
+            check_workers(t['workers_used'], t['threads'],
+                          r['engine_partitions'], r)
+        assert 0 < r['max_partition_event_share'] <= 1, r
         epochs = {int(t['epochs']) for t in runs}
         assert len(epochs) == 1 and r['engine_epochs'] in epochs, \
             f"epoch count moved with --engine-threads: {r}"

@@ -290,6 +290,12 @@ MicroResult run_micro(rpcs::System system, const MicroConfig& cfg) {
   result.engine_partitions = cluster.engine().partitions();
   result.engine_epochs = cluster.engine().epochs();
   result.engine_barrier_wall_ns = cluster.engine().barrier_wall_ns();
+  result.engine_workers_used = cluster.engine().workers_used();
+  if (result.sim_events > 0) {
+    result.engine_max_partition_event_share =
+        static_cast<double>(cluster.engine().max_partition_events()) /
+        static_cast<double>(result.sim_events);
+  }
   result.net_switch_hops = cluster.fabric().switch_hops();
   result.net_max_port_queue_ns = cluster.fabric().max_port_queue_ns();
   result.net_pfc_pauses = cluster.fabric().pfc_pauses();

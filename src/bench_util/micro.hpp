@@ -182,6 +182,14 @@ struct MicroResult {
   /// Wall-clock nanoseconds workers spent inside epoch barriers. Host
   /// telemetry — excluded from every determinism/identity comparison.
   std::uint64_t engine_barrier_wall_ns = 0;
+  /// Workers the engine ended on after fitting its worker count to the
+  /// load (<= engine_threads; sim::PartitionedEngine::workers_used).
+  /// Differs between thread counts, so it is no identity field.
+  unsigned engine_workers_used = 1;
+  /// Largest share of all executed events that one partition ran
+  /// (1.0 = serial). Deterministic per layout: the hot partition bounds
+  /// how much any worker count can gain.
+  double engine_max_partition_event_share = 1.0;
 
   [[nodiscard]] double avg_us() const { return latency.mean() / 1e3; }
   [[nodiscard]] double p95_us() const {

@@ -1,14 +1,54 @@
 #include "bench_util/report.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "trace/export.hpp"
 
 namespace prdma::bench {
+
+namespace {
+
+/// First line of `cmd`'s stdout, or "" when it cannot run or fails.
+std::string first_line_of(const char* cmd) {
+  FILE* pipe = ::popen(cmd, "r");
+  if (pipe == nullptr) return {};
+  char buf[128] = {};
+  const bool got = std::fgets(buf, sizeof(buf), pipe) != nullptr;
+  const int status = ::pclose(pipe);
+  if (!got || status != 0) return {};
+  std::string line(buf);
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+}  // namespace
+
+Json provenance(bool quick) {
+  const std::string commit =
+      first_line_of("git describe --always --dirty --abbrev=40 2>/dev/null");
+  const std::string source = commit.empty() ? "unknown" : "git:" + commit;
+  Json prov = Json::object();
+  prov.set("source", Json::str(source))
+      .set("build_type", Json::str(PRDMA_BUILD_TYPE))
+      .set("compiler", Json::str(__VERSION__))
+      .set("hardware_concurrency",
+           Json::num(static_cast<std::uint64_t>(
+               std::thread::hardware_concurrency())))
+      .set("nproc_online", Json::num(static_cast<std::uint64_t>(
+                               ::sysconf(_SC_NPROCESSORS_ONLN))))
+      .set("mode", Json::str(quick ? "quick" : "full"));
+  return prov;
+}
 
 Json micro_result_json(const std::string& name, const MicroResult& res) {
   Json row = Json::object();

@@ -15,6 +15,13 @@ namespace prdma::bench {
 [[nodiscard]] Json micro_result_json(const std::string& name,
                                      const MicroResult& res);
 
+/// Where and how a bench record was produced, for the committed
+/// BENCH_*.json files: `source` (`git:<commit>` of the working
+/// directory's checkout, `-dirty` when its tracked files differ from
+/// it, else "unknown"), `build_type`, `compiler`, `hardware_concurrency`,
+/// `nproc_online` and `mode` ("quick" or "full").
+[[nodiscard]] Json provenance(bool quick);
+
 /// The shared --json / --trace output layer of the bench binaries.
 ///
 /// Wire-up per cell:

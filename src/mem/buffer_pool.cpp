@@ -177,6 +177,10 @@ void BufferPool::recycle(PayloadBuf* b) {
 }
 
 void BufferPool::drain_remote_frees() {
+  // Usually empty: a plain load is far cheaper than the locked
+  // exchange. Pushes happen in phase A, before the barrier this drain
+  // runs behind, so an empty read here is never stale.
+  if (remote_free_.load(std::memory_order_relaxed) == nullptr) return;
   PayloadBuf* b = remote_free_.exchange(nullptr, std::memory_order_acquire);
   while (b != nullptr) {
     PayloadBuf* next = b->next_free;

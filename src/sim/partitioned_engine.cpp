@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 namespace prdma::sim {
 
@@ -15,25 +16,38 @@ namespace {
 
 thread_local const void* t_current_shard = nullptr;
 
-/// Sense-reversing spin barrier. Workers spin a short budget before
-/// yielding, so an oversubscribed host (CI runners, TSan builds) makes
-/// progress instead of burning whole quanta.
+/// Generation-counting spin barrier for the workers active in an
+/// epoch. Waiters spin a short budget before yielding, so an
+/// oversubscribed host (CI runners, TSan builds) makes progress
+/// instead of burning whole quanta; they never sleep, because an epoch
+/// is shorter than a futex sleep and wake-up (DESIGN.md §7.5). Workers
+/// shed by the worker-count rule are not participants: they park
+/// outside the barrier until a rebalance needs them again.
 class SpinBarrier {
  public:
   explicit SpinBarrier(int total) : total_(total) {}
 
-  /// `local_sense` is per-thread per-barrier state (starts at 0).
+  /// Changes the participant count. Called only by the epoch barrier's
+  /// last arriver, while no participant is inside this barrier.
+  void set_total(int total) { total_ = total; }
+
   /// The last arriver runs `last_fn` before releasing the others.
   template <typename F>
-  void arrive(int& local_sense, F&& last_fn) {
-    local_sense ^= 1;
-    if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == total_) {
+  void arrive(F&& last_fn) {
+    // Both reads precede this thread's arrival, so neither can see the
+    // next episode's values. The generation is the one this thread was
+    // last released from; a worker woken from a park first arrives at
+    // the phase-A barrier, whose generation last moved before the
+    // rebalance that woke it (see the roster in run_partitioned).
+    const int total = total_;
+    const std::uint32_t gen = gen_.load(std::memory_order_relaxed);
+    if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
       count_.store(0, std::memory_order_relaxed);
       last_fn();
-      sense_.store(local_sense, std::memory_order_release);
+      gen_.store(gen + 1, std::memory_order_release);
     } else {
       int spins = 0;
-      while (sense_.load(std::memory_order_acquire) != local_sense) {
+      while (gen_.load(std::memory_order_acquire) == gen) {
         if (++spins > 128) {
           std::this_thread::yield();
           spins = 0;
@@ -44,9 +58,47 @@ class SpinBarrier {
 
  private:
   std::atomic<int> count_{0};
-  std::atomic<int> sense_{0};
+  std::atomic<std::uint32_t> gen_{0};
   int total_;
 };
+
+/// A worker count t is "as fast" as all T workers when its estimated
+/// critical path is at most this many percent longer (DESIGN.md §7.5):
+/// wide enough to drop a worker that only adds barrier spin on a load
+/// dominated by one partition, narrow enough that an even load — where
+/// removing one of T workers lengthens the path by >= 1/(T-1), 14 % at
+/// T = 8 — keeps every worker.
+constexpr std::uint64_t kShedTolerancePct = 10;
+
+/// Longest-processing-time packing: partitions in decreasing `weight`
+/// (ties by index) each go to the bin with the least weight so far,
+/// ties to the bin holding fewer partitions, then the lower index — so
+/// equal weights (all zero before any load is known) deal round-robin
+/// like p % bins. Writes bin_of[p].
+void pack_lpt(const std::vector<std::uint64_t>& weight, std::size_t bins,
+              std::uint32_t* bin_of) {
+  const std::size_t P = weight.size();
+  std::vector<std::size_t> order(P);
+  for (std::size_t p = 0; p < P; ++p) order[p] = p;
+  std::stable_sort(order.begin(), order.end(),
+                   [&weight](std::size_t a, std::size_t b) {
+                     return weight[a] > weight[b];
+                   });
+  std::vector<std::uint64_t> load(bins, 0);
+  std::vector<std::size_t> count(bins, 0);
+  for (const std::size_t p : order) {
+    std::size_t best = 0;
+    for (std::size_t b = 1; b < bins; ++b) {
+      if (load[b] < load[best] ||
+          (load[b] == load[best] && count[b] < count[best])) {
+        best = b;
+      }
+    }
+    bin_of[p] = static_cast<std::uint32_t>(best);
+    load[best] += weight[p];
+    ++count[best];
+  }
+}
 
 }  // namespace
 
@@ -143,6 +195,9 @@ void PartitionedEngine::merge_outboxes_into(std::size_t dst) {
   Staging& st = staged_[dst];
   for (std::size_t src = 0; src < P; ++src) {
     Outbox& box = out_[src * P + dst];
+    // Most (src, dst) edges carry nothing in a given epoch: skip them
+    // without writing to the source-owned outbox.
+    if (box.items.empty()) continue;
     for (OutItem& it : box.items) {
       st.items.push_back(StagedItem{it.t, it.created,
                                     static_cast<std::uint32_t>(src),
@@ -181,6 +236,8 @@ void PartitionedEngine::flush_staged_into(std::size_t p) {
 void PartitionedEngine::run() {
   epochs_ = 0;
   barrier_wall_ns_.store(0, std::memory_order_relaxed);
+  workers_used_ = 1;
+  rejoins_ = 0;
   if (shards_.size() == 1) {
     shards_[0]->run();
     if (hooks_[0]) hooks_[0]();
@@ -259,9 +316,44 @@ void PartitionedEngine::run_partitioned() {
   }
   update_horizons(t0);
 
+  // Worker fitting (DESIGN.md §7.5). Ownership and the worker count
+  // change only at the barrier closing epoch 1, 2, 4, 8, ...; between
+  // two such barriers the engine measures every partition's executed
+  // events per epoch (a pure function of the schedule — no clocks) and,
+  // for every candidate count t <= T, what the critical path would
+  // have been under t workers' current LPT packing: the sum over the
+  // window's epochs of the busiest bin. The rebalance keeps the fewest
+  // workers whose path is within kShedTolerancePct of all T's, and
+  // repacks every candidate from the closed window's loads. Ownership
+  // only decides which thread runs a partition, never what it runs.
+  std::vector<std::uint64_t> seen(P);
+  for (std::size_t p = 0; p < P; ++p) seen[p] = shards_[p]->events_executed();
+  std::vector<std::uint64_t> window_load(P, 0);
+  std::vector<std::uint32_t> bin_of(T * P);  // candidate t -> [(t-1)*P, t*P)
+  for (std::size_t t = 1; t <= T; ++t) {
+    pack_lpt(window_load, t, &bin_of[(t - 1) * P]);
+  }
+  std::vector<std::uint64_t> critical(T, 0);
+  std::vector<std::uint64_t> bins(T);
+  std::vector<std::pair<std::size_t, std::uint64_t>> busy;  // epoch loads
+  busy.reserve(P);
+  std::vector<std::vector<std::size_t>> owned(T);
+  const auto assign_owners = [&](std::size_t t) {
+    for (auto& o : owned) o.clear();
+    for (std::size_t p = 0; p < P; ++p) {
+      owned[bin_of[(t - 1) * P + p]].push_back(p);
+    }
+  };
+  assign_owners(T);
+  workers_used_ = static_cast<unsigned>(T);
+
   SpinBarrier phase_a_done(static_cast<int>(T));
   SpinBarrier epoch_done(static_cast<int>(T));
-  std::atomic<bool> done{false};
+  // Active worker count, or 0 once the run is over. Shed workers
+  // (index >= roster) park on it; it changes only inside the epoch
+  // barrier's last_fn, so a worker that reads a new value also sees
+  // the owners, horizons and barrier generations published with it.
+  std::atomic<unsigned> roster{static_cast<unsigned>(T)};
   std::atomic<bool> abort{false};
   std::mutex err_mu;
   std::exception_ptr err;
@@ -276,15 +368,67 @@ void PartitionedEngine::run_partitioned() {
     abort.store(true, std::memory_order_relaxed);
   };
 
+  const auto account_and_rebalance = [&] {
+    busy.clear();
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::uint64_t d = shards_[p]->events_executed() - seen[p];
+      if (d == 0) continue;
+      seen[p] += d;
+      window_load[p] += d;
+      busy.emplace_back(p, d);
+    }
+    for (std::size_t t = 1; t <= T; ++t) {
+      const std::uint32_t* b_of = &bin_of[(t - 1) * P];
+      std::fill_n(bins.begin(), t, 0);
+      for (const auto& [p, d] : busy) bins[b_of[p]] += d;
+      critical[t - 1] += *std::max_element(bins.begin(), bins.begin() + t);
+    }
+    if ((epochs_ & (epochs_ - 1)) != 0) return;  // not a power of two
+    std::size_t keep = T;
+    for (std::size_t t = 1; t < T; ++t) {
+      if (critical[t - 1] * 100 <= critical[T - 1] * (100 + kShedTolerancePct)) {
+        keep = t;
+        break;
+      }
+    }
+    for (std::size_t t = 1; t <= T; ++t) {
+      pack_lpt(window_load, t, &bin_of[(t - 1) * P]);
+    }
+    std::fill(window_load.begin(), window_load.end(), 0);
+    std::fill(critical.begin(), critical.end(), 0);
+    assign_owners(keep);
+    phase_a_done.set_total(static_cast<int>(keep));
+    epoch_done.set_total(static_cast<int>(keep));
+    const bool grows = keep > workers_used_;
+    if (grows) rejoins_ += keep - workers_used_;
+    workers_used_ = static_cast<unsigned>(keep);
+    roster.store(workers_used_, std::memory_order_release);
+    if (grows) roster.notify_all();
+  };
+
   const auto worker = [&](std::size_t w) {
-    int sense_a = 0;
-    int sense_b = 0;
     std::uint64_t barrier_ns = 0;
+    const auto timed_arrive = [&barrier_ns](SpinBarrier& b, auto&& last_fn) {
+      const auto start = std::chrono::steady_clock::now();
+      b.arrive(last_fn);
+      barrier_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+    };
     for (;;) {
+      const unsigned now_active = roster.load(std::memory_order_acquire);
+      if (now_active == 0) break;
+      if (w >= now_active) {
+        // Shed: off the critical path, so sleeping costs nothing; wake
+        // when a rebalance grows the roster or the run ends.
+        roster.wait(now_active, std::memory_order_acquire);
+        continue;
+      }
       // Phase A: release due staged arrivals, then advance owned
       // partitions through [now, H_p).
       if (!abort.load(std::memory_order_relaxed)) {
-        for (std::size_t p = w; p < P; p += T) {
+        for (const std::size_t p : owned[w]) {
           detail::set_current_engine_shard(shards_[p].get());
           try {
             flush_staged_into(p);
@@ -295,15 +439,10 @@ void PartitionedEngine::run_partitioned() {
           detail::set_current_engine_shard(nullptr);
         }
       }
-      const auto wait_a = std::chrono::steady_clock::now();
-      phase_a_done.arrive(sense_a, [] {});
-      barrier_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wait_a)
-              .count());
+      timed_arrive(phase_a_done, [] {});
       // Phase B: merge inbound events, run epoch hooks, report the
       // local minimum for the next epoch's horizons.
-      for (std::size_t p = w; p < P; p += T) {
+      for (const std::size_t p : owned[w]) {
         detail::set_current_engine_shard(shards_[p].get());
         try {
           merge_outboxes_into(p);
@@ -314,26 +453,20 @@ void PartitionedEngine::run_partitioned() {
         local_min[p] = earliest_pending(p);
         detail::set_current_engine_shard(nullptr);
       }
-      const auto wait_b = std::chrono::steady_clock::now();
-      epoch_done.arrive(sense_b, [&] {
+      timed_arrive(epoch_done, [&] {
         ++epochs_;
         SimTime next = kNever;
         for (const SimTime m : local_min) next = std::min(next, m);
         if (next == kNever || abort.load(std::memory_order_relaxed)) {
-          done.store(true, std::memory_order_relaxed);
-        } else {
-          update_horizons(next);
+          roster.store(0, std::memory_order_release);
+          roster.notify_all();
+          return;
         }
+        update_horizons(next);
+        if (T > 1) account_and_rebalance();
       });
-      barrier_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wait_b)
-              .count());
-      if (done.load(std::memory_order_relaxed)) {
-        barrier_wall_ns_.fetch_add(barrier_ns, std::memory_order_relaxed);
-        return;
-      }
     }
+    barrier_wall_ns_.fetch_add(barrier_ns, std::memory_order_relaxed);
   };
 
   std::vector<std::future<void>> running;
@@ -369,6 +502,12 @@ std::uint64_t PartitionedEngine::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& s : shards_) total += s->events_executed();
   return total;
+}
+
+std::uint64_t PartitionedEngine::max_partition_events() const {
+  std::uint64_t most = 0;
+  for (const auto& s : shards_) most = std::max(most, s->events_executed());
+  return most;
 }
 
 std::uint64_t PartitionedEngine::pool_allocations() const {

@@ -17,8 +17,12 @@ namespace prdma::sim {
 
 /// How a PartitionedEngine maps nodes to event-queue partitions.
 struct EngineConfig {
-  /// Worker threads advancing the partitions. 1 keeps the engine on a
-  /// single partition — bit-identical to a plain Simulator run.
+  /// Maximum worker threads advancing the partitions (never more than
+  /// the partition count). A multi-partition run starts on all of them
+  /// and, at every power-of-two epoch, keeps only as many as its
+  /// measured per-epoch load can use (DESIGN.md §7.5); the schedule is
+  /// identical at any count. 1 keeps the engine on a single partition
+  /// — bit-identical to a plain Simulator run.
   unsigned threads = 1;
 
   enum class Partitioning : std::uint8_t {
@@ -155,6 +159,8 @@ class PartitionedEngine {
   // ---- aggregate counters (sums over shards) ----
 
   [[nodiscard]] std::uint64_t events_executed() const;
+  /// Events executed by the busiest partition.
+  [[nodiscard]] std::uint64_t max_partition_events() const;
   [[nodiscard]] std::uint64_t pool_allocations() const;
   /// Max shard clock — an upper bound, not the last event time (idle
   /// shards fast-forward to each epoch horizon).
@@ -165,11 +171,19 @@ class PartitionedEngine {
   /// identical at any thread count.
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   /// Wall-clock ns the workers spent inside epoch barriers during the
-  /// last run, summed over workers. Telemetry only — nondeterministic,
-  /// never part of a model-identity comparison.
+  /// last run, summed over workers (parked workers are not in a
+  /// barrier). Telemetry only — nondeterministic, never part of a
+  /// model-identity comparison.
   [[nodiscard]] std::uint64_t barrier_wall_ns() const {
     return barrier_wall_ns_.load(std::memory_order_relaxed);
   }
+  /// Workers the last run ended on, <= min(threads(), partitions()):
+  /// the count its final rebalance chose (1 for a single partition). A
+  /// pure function of the schedule and threads(), but it differs
+  /// between thread counts, so it stays out of identity comparisons.
+  [[nodiscard]] unsigned workers_used() const { return workers_used_; }
+  /// Times a parked worker rejoined the active set during the last run.
+  [[nodiscard]] std::uint64_t worker_rejoins() const { return rejoins_; }
 
  private:
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
@@ -226,12 +240,15 @@ class PartitionedEngine {
   SimTime lookahead_ = 0;
   /// Per-partition phase-A horizons for the current epoch; written by
   /// the epoch barrier's last arriver, read by every worker after the
-  /// barrier releases (the sense-reversing release/acquire pair orders
-  /// the accesses, like local_min).
+  /// barrier releases (the barrier generation's release/acquire pair
+  /// orders the accesses, like local_min; a parked worker that rejoins
+  /// reads them after the roster's).
   std::vector<SimTime> horizons_;
   std::atomic<SimTime> horizon_{0};  ///< next + L: schedule_remote guard
   std::uint64_t epochs_ = 0;
   std::atomic<std::uint64_t> barrier_wall_ns_{0};
+  unsigned workers_used_ = 0;
+  std::uint64_t rejoins_ = 0;
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -847,5 +847,131 @@ TEST(EngineParity, WiderClusterStaysIdenticalWithPipelinedClients) {
   EXPECT_EQ(r1.ops_completed, (600 / (7 * 4)) * (7 * 4));
 }
 
+// -------------------------------- fitting workers to the load (§7.5)
+
+/// One hot rack: the server's rack of a 4 x 4 leaf-spine cell runs more
+/// than half of all events, every other rack a few clients' share.
+bench::MicroConfig skewed_rack_config(unsigned threads) {
+  bench::MicroConfig mc = rack_parity_config(threads);
+  mc.topology.racks = 4;
+  mc.topology.hosts_per_rack = 4;
+  mc.clients = 15;
+  return mc;
+}
+
+TEST(EngineFitting, SkewedRackCellIsByteIdenticalAtEveryWorkerCount) {
+  const auto r1 = bench::run_micro(rpcs::System::kWFlushRpc,
+                                   skewed_rack_config(1));
+  ASSERT_EQ(r1.engine_partitions, 4u);
+  EXPECT_GT(r1.engine_max_partition_event_share, 0.5);
+  EXPECT_EQ(r1.engine_workers_used, 1u);
+  for (const unsigned t : {2u, 3u, 4u, 8u}) {
+    const auto rt = bench::run_micro(rpcs::System::kWFlushRpc,
+                                     skewed_rack_config(t));
+    const std::string what = "skewed racks x" + std::to_string(t);
+    expect_model_identical(r1, rt, what);
+    EXPECT_EQ(r1.engine_epochs, rt.engine_epochs) << what;
+    EXPECT_EQ(r1.engine_max_partition_event_share,
+              rt.engine_max_partition_event_share) << what;
+    // Never more workers than partitions or the configured maximum.
+    EXPECT_GE(rt.engine_workers_used, 1u) << what;
+    EXPECT_LE(rt.engine_workers_used, std::min(t, 4u)) << what;
+    // Three or more candidate workers on one hot rack: at least one
+    // only adds barrier spin, and the engine parks it.
+    if (t >= 3) {
+      EXPECT_LT(rt.engine_workers_used, std::min(t, 4u)) << what;
+    }
+  }
+}
+
+/// Synthetic per-node load on static epochs of one lookahead window
+/// each: partition p ticks in windows [first[p], last), and every tick
+/// runs `burst` local events plus one event sent to partition p + 1
+/// (which it runs in the next window). Epoch k's per-partition event
+/// counts are therefore exact, and `log[p]` records what partition p
+/// ran, in order.
+struct TickLoad {
+  std::vector<std::uint64_t> first;
+  std::uint64_t last = 64;
+  std::uint64_t burst = 8;
+};
+
+struct TickRun {
+  std::vector<std::vector<std::uint64_t>> log;
+  std::uint64_t epochs = 0;
+  unsigned workers = 0;
+  std::uint64_t rejoins = 0;
+};
+
+TickRun run_ticks(const TickLoad& load, unsigned threads) {
+  constexpr sim::SimTime kL = 100;
+  const std::size_t P = load.first.size();
+  EngineConfig cfg = per_node(threads);
+  cfg.adaptive_epochs = false;
+  PartitionedEngine eng(P, cfg);
+  eng.set_lookahead(kL);
+  TickRun out;
+  out.log.resize(P);
+  std::function<void(std::size_t, std::uint64_t)> tick =
+      [&](std::size_t p, std::uint64_t k) {
+        sim::Simulator& sim = eng.shard(p);
+        out.log[p].push_back(k);
+        for (std::uint64_t i = 1; i <= load.burst; ++i) {
+          sim.schedule_at(k * kL + i,
+                          [&out, p, i] { out.log[p].push_back(1000 + i); });
+        }
+        const std::size_t q = (p + 1) % P;
+        eng.schedule_remote(p, q, (k + 1) * kL + kL / 2,
+                            [&out, p, q] { out.log[q].push_back(2000 + p); });
+        if (k + 1 < load.last) {
+          sim.schedule_at((k + 1) * kL, [&tick, p, k] { tick(p, k + 1); });
+        }
+      };
+  for (std::size_t p = 0; p < P; ++p) {
+    const std::uint64_t k0 = load.first[p];
+    eng.shard(p).schedule_at(k0 * kL, [&tick, p, k0] { tick(p, k0); });
+  }
+  eng.run();
+  out.epochs = eng.epochs();
+  out.workers = eng.workers_used();
+  out.rejoins = eng.worker_rejoins();
+  return out;
+}
+
+TEST(EngineFitting, EvenLoadKeepsEveryWorker) {
+  // Eight equally busy partitions: dropping any of eight workers puts
+  // two partitions on one of them, doubling the critical path.
+  TickLoad even;
+  even.first.assign(8, 0);
+  const TickRun serial = run_ticks(even, 1);
+  EXPECT_EQ(serial.workers, 1u);
+  for (const unsigned t : {2u, 4u, 8u}) {
+    const TickRun r = run_ticks(even, t);
+    EXPECT_EQ(r.workers, t) << t << " threads";
+    EXPECT_EQ(r.rejoins, 0u) << t << " threads";
+    EXPECT_EQ(r.log, serial.log) << t << " threads";
+    EXPECT_EQ(r.epochs, serial.epochs) << t << " threads";
+  }
+}
+
+TEST(EngineFitting, ShedWorkersRejoinWhenTheLoadSpreads) {
+  // Sixteen windows of one busy partition (plus the single event it
+  // sends its neighbour), then four equally busy ones. The first
+  // rebalances park workers that would only spin; the one after the
+  // load spreads must wake them again. The schedule — every
+  // partition's run order and the epoch count — never notices.
+  TickLoad shift;
+  shift.first = {0, 16, 16, 16};
+  const TickRun serial = run_ticks(shift, 1);
+  for (const unsigned t : {2u, 3u, 4u}) {
+    const TickRun r = run_ticks(shift, t);
+    EXPECT_EQ(r.log, serial.log) << t << " threads";
+    EXPECT_EQ(r.epochs, serial.epochs) << t << " threads";
+    // Three workers split four equal partitions no better than two.
+    EXPECT_EQ(r.workers, t == 3 ? 2u : t) << t << " threads";
+    EXPECT_GE(r.rejoins, 1u) << t << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace prdma
