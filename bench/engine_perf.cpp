@@ -33,9 +33,10 @@
 //     run is byte-identical to the serial engine and recording
 //     events/sec + speedup per thread count (speedup is only
 //     meaningful when the host has the cores; hw_concurrency lands in
-//     the JSON so the CI gate can tell), the workers each run kept, and
-//     a synthetic even load over as many partitions, asserting the
-//     engine keeps every worker there.
+//     the JSON), the workers each run kept, and a synthetic CPU-bound
+//     even load over as many partitions, asserting the engine keeps
+//     every worker there and timing it: CI's 8-thread speedup gate
+//     reads that load, since the micro cell is server-bound.
 //
 // Flags: --events=N (default 1000000), --ops=N (micro cell, default
 //        2000), --pingers=N (concurrently pending events, default
@@ -212,16 +213,41 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// One run of the even load: the workers the engine kept and the wall
+/// time of eng.run().
+struct EvenLoad {
+  unsigned workers = 0;
+  double secs = 0.0;
+  std::uint64_t checksum = 0;  ///< keeps the burst work observable
+};
+
 /// Even load over `parts` per-node partitions, one static epoch per
 /// lookahead window: every partition runs a burst of local events per
-/// window and sends one event to the next partition. Returns the
-/// workers the partitioned engine kept. On such a load dropping any
-/// worker lengthens the critical path, so the answer must be
+/// window and sends one event to the next partition. Each burst event
+/// runs a 2 000-step dependent multiply chain (~3 µs on a 4-vCPU VM),
+/// so every partition is equally CPU-bound and the wall time measures
+/// how the engine scales when the work can spread (unlike the
+/// server-bound micro cell). On such a load dropping any worker
+/// lengthens the critical path, so the workers kept must be
 /// min(threads, parts).
-unsigned even_load_workers(std::size_t parts, unsigned threads) {
+EvenLoad even_load(std::size_t parts, unsigned threads) {
   constexpr sim::SimTime kL = 100;
   constexpr std::uint64_t kWindows = 64;
   constexpr std::uint64_t kBurst = 8;
+  constexpr std::uint64_t kSpin = 2000;
+  // One cache line per partition: a partition's events run on one
+  // worker at a time, and neighbours never share a line.
+  struct alignas(64) Sink {
+    std::uint64_t v = 0;
+  };
+  std::vector<Sink> sinks(parts);
+  const auto burn = [&sinks](std::size_t p) {
+    std::uint64_t x = sinks[p].v + p;
+    for (std::uint64_t i = 0; i < kSpin; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    }
+    sinks[p].v = x;
+  };
   sim::EngineConfig cfg;
   cfg.threads = threads;
   cfg.partitioning = sim::EngineConfig::Partitioning::kPerNode;
@@ -231,7 +257,7 @@ unsigned even_load_workers(std::size_t parts, unsigned threads) {
   std::function<void(std::size_t, std::uint64_t)> tick =
       [&](std::size_t p, std::uint64_t k) {
         for (std::uint64_t i = 1; i <= kBurst; ++i) {
-          eng.shard(p).schedule_at(k * kL + i, [] {});
+          eng.shard(p).schedule_at(k * kL + i, [&burn, p] { burn(p); });
         }
         eng.schedule_remote(p, (p + 1) % parts, (k + 1) * kL + kL / 2, [] {});
         if (k + 1 < kWindows) {
@@ -242,8 +268,13 @@ unsigned even_load_workers(std::size_t parts, unsigned threads) {
   for (std::size_t p = 0; p < parts; ++p) {
     eng.shard(p).schedule_at(0, [&tick, p] { tick(p, 0); });
   }
+  const auto t0 = std::chrono::steady_clock::now();
   eng.run();
-  return eng.workers_used();
+  EvenLoad out;
+  out.secs = wall_seconds_since(t0);
+  out.workers = eng.workers_used();
+  for (const Sink& s : sinks) out.checksum ^= s.v;
+  return out;
 }
 
 }  // namespace
@@ -666,22 +697,41 @@ int main(int argc, char** argv) {
   std::printf("  byte-identical to serial at every thread count: %s\n",
               scaling_identical ? "yes" : "NO — DIVERGED");
   // The scaling cell above is server-bound (its hottest partition runs
-  // over half the events), so the engine rightly runs it on fewer
-  // workers than allowed; an even load must keep every one.
+  // over half the events, so no placement beats ~1.8x), and the engine
+  // rightly runs it on fewer workers than allowed. An even load must
+  // keep every worker, and its wall time is the speedup that can be
+  // gated.
+  std::printf("even CPU-bound load over %llu partitions:\n",
+              static_cast<unsigned long long>(scale_nodes));
+  bench::TablePrinter even_table({"threads", "wall s", "speedup", "workers"});
   bench::Json even_rows = bench::Json::array();
   bool even_uses_all = true;
+  double even_serial_secs = 0.0;
+  std::uint64_t even_checksum = 0;
   for (const unsigned t : kScaleThreads) {
-    const unsigned used =
-        even_load_workers(static_cast<std::size_t>(scale_nodes), t);
-    even_uses_all = even_uses_all && used == t;
+    const EvenLoad run = even_load(static_cast<std::size_t>(scale_nodes), t);
+    if (t == 1) {
+      even_serial_secs = run.secs;
+      even_checksum = run.checksum;
+    }
+    // Same events in the same per-partition order at any thread count.
+    even_uses_all = even_uses_all && run.workers == t &&
+                    run.checksum == even_checksum;
+    const double speedup = even_serial_secs / run.secs;
+    even_table.add_row({std::to_string(t), bench::TablePrinter::num(run.secs, 3),
+                        bench::TablePrinter::num(speedup, 2) + "x",
+                        std::to_string(run.workers)});
     bench::Json row = bench::Json::object();
     row.set("threads", bench::Json::num(static_cast<std::uint64_t>(t)))
-        .set("workers_used", bench::Json::num(static_cast<std::uint64_t>(used)));
+        .set("workers_used",
+             bench::Json::num(static_cast<std::uint64_t>(run.workers)))
+        .set("wall_secs", bench::Json::num(run.secs))
+        .set("speedup", bench::Json::num(speedup));
     even_rows.push(std::move(row));
   }
-  std::printf("  even load over %llu partitions keeps every worker: %s\n\n",
-              static_cast<unsigned long long>(scale_nodes),
-              even_uses_all ? "yes" : "NO — WORKERS SHED");
+  even_table.print();
+  std::printf("  keeps every worker, same result: %s\n\n",
+              even_uses_all ? "yes" : "NO — WORKERS SHED OR DIVERGED");
 
   // ---- 6. JSON record ---------------------------------------------
   bench::Json doc = bench::Json::object();

@@ -63,12 +63,16 @@ def check_engine(eng, hw_concurrency):
     for r in even:
         assert r['workers_used'] == r['threads'], \
             f'even load shed workers: {r}'
+        assert r['wall_secs'] > 0 and r['speedup'] > 0, r
     # Wall-clock speedup is only meaningful with real cores under the
-    # workers; gate the scaling win when the runner has them.
+    # workers; gate the scaling win when the runner has them. The gate
+    # reads the even CPU-bound load: the micro cell in 'rows' is
+    # server-bound (max_partition_event_share ~0.56, so no placement
+    # beats ~1.8x there) and is kept for its identity checks only.
     if hw_concurrency >= 8:
-        r8 = next(r for r in scaling['rows'] if r['threads'] == 8)
-        assert r8['speedup'] >= 2.0, \
-            f"8-thread engine speedup regressed: {r8['speedup']:.2f}x"
+        e8 = next(r for r in even if r['threads'] == 8)
+        assert e8['speedup'] >= 2.0, \
+            f"8-thread even-load speedup regressed: {e8['speedup']:.2f}x"
     return f"{len(scaling['rows'])} engine-scaling rows"
 
 
@@ -95,9 +99,10 @@ def check_dataplane(dp, hw_concurrency):
     assert dp['steady_payload_slab_bytes'] == 0
     # Whole-process allocations per durable RPC (engine_perf counts
     # every global operator new). The ceiling only ever goes down:
-    # 15.18 was measured when host charges stopped allocating coroutine
-    # frames (25.26 before).
-    assert dp['steady_process_allocs_per_rpc'] <= 16.0, \
+    # 14.18 was measured when write watches stopped copying callbacks
+    # per fire (15.18 before, 25.26 before host charges stopped
+    # allocating coroutine frames).
+    assert dp['steady_process_allocs_per_rpc'] <= 15.0, \
         f"whole-process allocs/RPC rose: {dp['steady_process_allocs_per_rpc']}"
     assert 0 < dp['link_lookup_ns_per_op'] < 200, \
         f"link-table lookup cost off: {dp['link_lookup_ns_per_op']}"
@@ -151,10 +156,10 @@ def check_topology(topo, hw_concurrency):
     assert r512['engine_partitions'] == 32, r512
     assert 0 < r512['active_clients'] <= r512['total_clients'], r512
     # Process peak RSS once the 512-host cell is done: 1.5x the
-    # highest of 8 runs (220-252 MiB) measured when device byte planes
-    # went sparse and client arrivals became pool state (~700 MiB
-    # before).
-    assert r512['peak_rss_mb'] <= 380, \
+    # highest of 8 --quick runs (168-180 MiB) measured when latency
+    # histograms went sparse and routes moved into one CSR table
+    # (220-252 MiB before, ~700 MiB before sparse device planes).
+    assert r512['peak_rss_mb'] <= 270, \
         f"512-host peak RSS rose: {r512['peak_rss_mb']:.1f} MiB"
     lrows = topo['loss_sweep']
     assert topo['loss_ok'] is True, \

@@ -1,6 +1,7 @@
 #include "core/durable_rpc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "core/wire.hpp"
@@ -68,6 +69,7 @@ std::unique_ptr<DurableRpcClient> DurableRpcServer::connect_client(
 
   auto conn = std::make_unique<Conn>(server_, layout);
   conn->idx = conns_.size();
+  conn->completed_oo.assign(layout.slots, false);
   conn->client = &client_node;
   conn->scq = std::make_unique<rnic::Cq>(server_.simulator());
   conn->rcq = std::make_unique<rnic::Cq>(server_.simulator());
@@ -173,10 +175,11 @@ void DurableRpcServer::start() {
   }
 }
 
-std::uint64_t DurableRpcServer::backlog() const {
-  std::uint64_t total = 0;
-  for (const auto& c : conns_) total += c->backlog;
-  return total;
+void DurableRpcServer::enqueue_backlog(Conn& conn) {
+  ++conn.backlog;
+  ++backlog_;
+  stats_.backlog_peak = std::max(stats_.backlog_peak, backlog_);
+  if (backlog_ > params_.flow_threshold) ++stats_.throttle_events;
 }
 
 void DurableRpcServer::notify_word(Conn& conn, std::uint64_t client_addr,
@@ -236,9 +239,7 @@ sim::Task<> DurableRpcServer::conn_loop_write_based(Conn& conn) {
                         host.charged_ns() - sw0, trace_track());
       continue;
     }
-    ++conn.backlog;
-    stats_.backlog_peak = std::max(stats_.backlog_peak, backlog());
-    if (backlog() > params_.flow_threshold) ++stats_.throttle_events;
+    enqueue_backlog(conn);
     work_q_->send(WorkItem{&conn, *e, false});
   }
 }
@@ -313,9 +314,7 @@ sim::Task<> DurableRpcServer::conn_loop_send_based(Conn& conn) {
     cluster_.tracer_of(server_.id())
         .span_charged(trace::Component::kReceiverSw, e->seq, crit_t0,
                       host.charged_ns() - sw0, trace_track());
-    ++conn.backlog;
-    stats_.backlog_peak = std::max(stats_.backlog_peak, backlog());
-    if (backlog() > params_.flow_threshold) ++stats_.throttle_events;
+    enqueue_backlog(conn);
     work_q_->send(WorkItem{&conn, *e, false});
   }
 }
@@ -377,7 +376,10 @@ sim::Task<> DurableRpcServer::process_item(WorkItem item) {
   }
 
   stats_.ops_processed += e.batch;
-  if (!item.fast && conn.backlog > 0) --conn.backlog;
+  if (!item.fast && conn.backlog > 0) {
+    --conn.backlog;
+    --backlog_;
+  }
   if (item.recovered) {
     ++stats_.recoveries;
   }
@@ -388,11 +390,22 @@ sim::Task<> DurableRpcServer::process_item(WorkItem item) {
 }
 
 sim::Task<> DurableRpcServer::advance_consumed(Conn& conn, std::uint64_t seq) {
-  conn.completed_oo.insert(seq);
+  std::vector<bool>& done = conn.completed_oo;
+  if (seq <= conn.completed_floor) co_return;  // already below the floor
+  if (seq - conn.completed_floor > done.size()) {
+    // Past the window: re-place the pending flags in a larger ring.
+    std::vector<bool> wider(std::bit_ceil(seq - conn.completed_floor), false);
+    for (std::uint64_t s = conn.completed_floor + 1;
+         s <= conn.completed_floor + done.size(); ++s) {
+      wider[s % wider.size()] = done[s % done.size()];
+    }
+    done = std::move(wider);
+  }
+  done[seq % done.size()] = true;
   const std::uint64_t old_floor = conn.completed_floor;
-  while (conn.completed_oo.contains(conn.completed_floor + 1)) {
+  while (done[(conn.completed_floor + 1) % done.size()]) {
     ++conn.completed_floor;
-    conn.completed_oo.erase(conn.completed_floor);
+    done[conn.completed_floor % done.size()] = false;
   }
   if (conn.completed_floor != old_floor) {
     co_await conn.log.mark_consumed(conn.completed_floor);
@@ -415,8 +428,9 @@ void DurableRpcServer::on_crash() {
     conn->scq->reset();
     conn->rcq->reset();
     conn->backlog = 0;
-    conn->completed_oo.clear();
+    std::fill(conn->completed_oo.begin(), conn->completed_oo.end(), false);
   }
+  backlog_ = 0;
   work_q_->reset();
 }
 
@@ -502,7 +516,7 @@ void DurableRpcServer::reconnect_client(DurableRpcClient& client) {
   // treat them as consumed no-ops so the watermark stays contiguous.
   conn.next_seq = client.next_seq_;
   conn.completed_floor = client.next_seq_ - 1;
-  conn.completed_oo.clear();
+  std::fill(conn.completed_oo.begin(), conn.completed_oo.end(), false);
   store_u64(server_.mem(), conn.log.layout().consumed_addr(),
             conn.completed_floor);
 

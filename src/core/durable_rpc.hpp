@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -135,7 +134,8 @@ class DurableRpcServer : public RpcServer {
   [[nodiscard]] FlushVariant variant() const { return variant_; }
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] Node& node() { return server_; }
-  [[nodiscard]] std::uint64_t backlog() const;
+  /// Queued write/read requests over every connection.
+  [[nodiscard]] std::uint64_t backlog() const { return backlog_; }
 
   // ---- fault-injection interface (Fig. 12 experiments) ----
 
@@ -188,9 +188,12 @@ class DurableRpcServer : public RpcServer {
     std::unique_ptr<sim::Channel<std::uint64_t>> arrivals;
     mem::NodeMemory::WatchId watch = 0;
     std::uint64_t backlog = 0;
-    // out-of-order completion tracking for the consumed watermark
+    // Out-of-order completion tracking for the consumed watermark:
+    // completed_oo[s % size] flags seq s in (completed_floor,
+    // completed_floor + size]. Sized to the log ring, which bounds how
+    // far past the floor a client can write; grows if ever exceeded.
     std::uint64_t completed_floor = 0;
-    std::set<std::uint64_t> completed_oo;
+    std::vector<bool> completed_oo;
     // client-side addresses (client DRAM)
     std::uint64_t notify_consumed_addr = 0;
     std::uint64_t notify_persist_addr = 0;
@@ -213,6 +216,8 @@ class DurableRpcServer : public RpcServer {
   sim::Task<> worker_loop();
   sim::Task<> process_item(WorkItem item);
   sim::Task<> advance_consumed(Conn& conn, std::uint64_t seq);
+  /// Counts one more queued request on `conn` (and the server total).
+  void enqueue_backlog(Conn& conn);
   void notify_word(Conn& conn, std::uint64_t client_addr, std::uint64_t value);
   sim::Task<> persist_slot(Conn& conn, const LogEntryView& e);
 
@@ -230,6 +235,9 @@ class DurableRpcServer : public RpcServer {
   std::vector<std::unique_ptr<Conn>> conns_;
   std::unique_ptr<sim::Channel<WorkItem>> work_q_;
   ServerStats stats_;
+  /// Sum of every connection's backlog, kept as requests queue and
+  /// finish so a request never walks the connection list.
+  std::uint64_t backlog_ = 0;
   ReplayHook replay_hook_;
   bool running_ = false;
   /// Bumped on every crash; coroutines resumed across the boundary

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -256,12 +258,39 @@ class NodeMemory {
   WatchId add_watch(std::uint64_t addr, std::uint64_t len,
                     std::function<void()> on_write) {
     const WatchId id = next_watch_++;
-    watches_.push_back(Watch{id, addr, len, std::move(on_write)});
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(callbacks_.size());
+      callbacks_.push_back(std::move(on_write));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      callbacks_[slot] = std::move(on_write);
+    }
+    // Ids grow, so going after every watch at the same address keeps
+    // watches_ sorted by (addr, id).
+    const auto at = std::upper_bound(
+        watches_.begin(), watches_.end(), addr,
+        [](std::uint64_t a, const Watch& w) { return a < w.addr; });
+    watches_.insert(at, Watch{id, addr, len, slot});
+    max_watch_len_ = std::max(max_watch_len_, len);
     return id;
   }
 
   void remove_watch(WatchId id) {
-    std::erase_if(watches_, [id](const Watch& w) { return w.id == id; });
+    const auto it = std::find_if(watches_.begin(), watches_.end(),
+                                 [id](const Watch& w) { return w.id == id; });
+    if (it == watches_.end()) return;
+    const std::uint32_t slot = it->slot;
+    watches_.erase(it);
+    // A fire in progress may still hold the slot in its snapshot; the
+    // callback then runs as if it had been copied, and the slot is
+    // recycled once the outermost fire returns.
+    if (fire_depth_ > 0) {
+      released_slots_.push_back(slot);
+    } else {
+      release_slot(slot);
+    }
   }
 
   [[nodiscard]] std::size_t watch_count() const { return watches_.size(); }
@@ -271,7 +300,7 @@ class NodeMemory {
     WatchId id;
     std::uint64_t addr;
     std::uint64_t len;
-    std::function<void()> on_write;
+    std::uint32_t slot;  ///< index of the callback in callbacks_
   };
 
   enum class WritePath : std::uint8_t { kCpu, kDma, kNtStore };
@@ -319,22 +348,43 @@ class NodeMemory {
 
   void fire_watches(std::uint64_t addr, std::uint64_t len) {
     if (watches_.empty() || len == 0) return;
-    // A callback may add/remove watches; run over a snapshot. The
-    // snapshot buffers are reused across calls (fire_watches sits on
-    // the per-RPC hot path) unless a callback re-enters.
-    std::vector<std::function<void()>> local;
-    std::vector<std::function<void()>>& cbs =
-        fire_depth_ == 0 ? scratch_cbs_ : local;
-    ++fire_depth_;
-    cbs.clear();
-    for (const Watch& w : watches_) {
-      if (w.addr < addr + len && addr < w.addr + w.len) {
-        cbs.push_back(w.on_write);
-      }
+    // Only a watch starting less than the longest watch's length
+    // before `addr` can overlap the write.
+    const std::uint64_t lo = addr - std::min(addr, max_watch_len_);
+    auto it = std::lower_bound(
+        watches_.begin(), watches_.end(), lo,
+        [](const Watch& w, std::uint64_t a) { return w.addr < a; });
+    // A callback may add or remove watches, or write and fire again:
+    // run the watches matched now (snapshot), in registration order.
+    // The snapshot is a stack nested fires share, and holds callback
+    // slots rather than copies, so a warm fire allocates nothing.
+    const std::size_t base = fired_.size();
+    for (; it != watches_.end() && it->addr < addr + len; ++it) {
+      if (addr < it->addr + it->len) fired_.push_back({it->id, it->slot});
     }
-    for (auto& cb : cbs) cb();
-    cbs.clear();
+    if (fired_.size() - base > 1) {
+      std::sort(fired_.begin() + static_cast<std::ptrdiff_t>(base),
+                fired_.end(),
+                [](const Fired& a, const Fired& b) { return a.id < b.id; });
+    }
+    ++fire_depth_;
+    // Indexed, not iterated: a nested fire may reallocate fired_.
+    // callbacks_ is a deque, so adding watches never moves a callback
+    // while it runs.
+    for (std::size_t i = base; i < fired_.size(); ++i) {
+      callbacks_[fired_[i].slot]();
+    }
     --fire_depth_;
+    fired_.resize(base);
+    if (fire_depth_ == 0) {
+      for (const std::uint32_t slot : released_slots_) release_slot(slot);
+      released_slots_.clear();
+    }
+  }
+
+  void release_slot(std::uint32_t slot) {
+    callbacks_[slot] = nullptr;
+    free_slots_.push_back(slot);
   }
 
   ContentMode mode_;
@@ -352,8 +402,19 @@ class NodeMemory {
   std::uint64_t pristine_lo_ = 0;
   std::uint64_t pristine_hi_ = 0;
   std::uint64_t next_watch_ = 1;
-  std::vector<Watch> watches_;
-  std::vector<std::function<void()>> scratch_cbs_;
+  std::vector<Watch> watches_;  ///< sorted by (addr, id)
+  /// Longest watch ever registered: bounds how far before a write a
+  /// matching watch can start.
+  std::uint64_t max_watch_len_ = 0;
+  std::deque<std::function<void()>> callbacks_;  ///< by Watch::slot
+  std::vector<std::uint32_t> free_slots_;
+  /// Slots removed during a fire, recycled when the outermost returns.
+  std::vector<std::uint32_t> released_slots_;
+  struct Fired {
+    WatchId id;
+    std::uint32_t slot;
+  };
+  std::vector<Fired> fired_;  ///< snapshot stack of fire_watches
   int fire_depth_ = 0;
 };
 

@@ -235,16 +235,16 @@ void Fabric::burst_rates(sim::SimTime t, double& loss, double& corrupt) const {
   }
 }
 
-const Route& Fabric::route_at(NodeId from, NodeId to, sim::SimTime t) const {
+Route Fabric::route_at(NodeId from, NodeId to, sim::SimTime t) const {
   if (epoch_starts_.empty()) return topo_->route(from, to);
   std::size_t i =
       static_cast<std::size_t>(
           std::upper_bound(epoch_starts_.begin(), epoch_starts_.end(), t) -
           epoch_starts_.begin()) -
       1;
-  const std::vector<Route>& table = epoch_routes_[i];
+  const RouteTable& table = epoch_routes_[i];
   if (table.empty()) return topo_->route(from, to);
-  return table[static_cast<std::size_t>(from) * topo_->host_count() + to];
+  return table.route(from, to);
 }
 
 void Fabric::grow_links() {
@@ -396,7 +396,7 @@ sim::SimTime Fabric::pfc_pause_ns_total() const {
 sim::SimTime Fabric::send(Packet p) {
   if (routed() && p.src != p.dst && p.src < topo_->host_count() &&
       p.dst < topo_->host_count()) {
-    const Route& base = topo_->route(p.src, p.dst);
+    const Route base = topo_->route(p.src, p.dst);
     if (!base.ports.empty()) {
       NodeCtx& src = ctx(p.src);
       sim::Simulator& ssim = src.sim != nullptr ? *src.sim : sim_;
@@ -409,7 +409,7 @@ sim::SimTime Fabric::send(Packet p) {
           count_drop(DropReason::kPartition, now, p.src, src.tracer);
           return now;
         }
-        const Route& route = route_at(p.src, p.dst, now);
+        const Route route = route_at(p.src, p.dst, now);
         if (route.ports.empty()) {
           // No surviving path this fault epoch. The destination stalls
           // rather than silently losing traffic: the drop is accounted
@@ -429,7 +429,7 @@ sim::SimTime Fabric::send(Packet p) {
   return send_direct(std::move(p));
 }
 
-sim::SimTime Fabric::hop_transmit(Packet p, const Route& route,
+sim::SimTime Fabric::hop_transmit(Packet p, Route route,
                                   std::size_t hop, sim::SimTime t_in) {
   Port& port = ports_[route.ports[hop]];
   // Store-and-forward: a switch charges its traversal latency before
@@ -545,9 +545,9 @@ sim::SimTime Fabric::hop_transmit(Packet p, const Route& route,
   const sim::SimTime accepted = port.busy_until;
   if (hop + 1 < route.ports.size()) {
     const Port& next = ports_[route.ports[hop + 1]];
-    auto forward = [this, p = std::move(p), r = &route, next_hop = hop + 1,
+    auto forward = [this, p = std::move(p), route, next_hop = hop + 1,
                     t = arrival]() mutable {
-      hop_transmit(std::move(p), *r, next_hop, t);
+      hop_transmit(std::move(p), route, next_hop, t);
     };
     if (!partitioned_ || next.partition == port.partition) {
       next.sim->schedule_at(arrival, std::move(forward));

@@ -333,12 +333,11 @@ class Fabric {
   /// The route of (from, to) in the fault epoch containing `t` — the
   /// base table outside fault epochs, a precomputed failover table
   /// inside one. Empty when the pair is unreachable in that epoch.
-  [[nodiscard]] const Route& route_at(NodeId from, NodeId to,
-                                      sim::SimTime t) const;
+  [[nodiscard]] Route route_at(NodeId from, NodeId to, sim::SimTime t) const;
   /// Enqueues `p` on route hop `hop`, entering the port at `t_in`
   /// (switch hops add the store-and-forward latency first). Returns
   /// the port's busy-until after this packet serializes.
-  sim::SimTime hop_transmit(Packet p, const Route& route, std::size_t hop,
+  sim::SimTime hop_transmit(Packet p, Route route, std::size_t hop,
                             sim::SimTime t_in);
 
   struct LinkSlot {
@@ -368,11 +367,11 @@ class Fabric {
   /// Direct pairs named by host<->host flaps, keyed on pack(from, to).
   std::vector<std::pair<std::uint64_t, DownSpans>> direct_down_;
   /// Fault epochs: route table i applies in [epoch_starts_[i],
-  /// epoch_starts_[i+1]). An empty inner table means "use the base
-  /// routes". Built once by set_fault_plan, immutable during the run —
-  /// hop lambdas hold pointers into these tables.
+  /// epoch_starts_[i+1]). An empty table means "use the base routes".
+  /// Built once by set_fault_plan, immutable during the run — hop
+  /// lambdas carry Route views into these tables.
   std::vector<sim::SimTime> epoch_starts_;
-  std::vector<std::vector<Route>> epoch_routes_;
+  std::vector<RouteTable> epoch_routes_;
   trace::Tracer* tracer_ = nullptr;
   sim::PartitionedEngine* engine_ = nullptr;
   std::uint64_t link_seed_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace prdma::net {
@@ -44,72 +43,93 @@ std::uint32_t Topology::connect(Vertex a, Vertex b, const LinkParams& ab,
   return id;
 }
 
+namespace {
+constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
+}  // namespace
+
 // Hop distance from every vertex to one destination, by reverse BFS.
 // Cables are declared in full-duplex pairs, so vertex adjacency is
 // symmetric and the forward adjacency list serves both directions
 // (edge_down masks are likewise set pairwise).
-std::vector<std::uint32_t> Topology::distances_to(
-    Vertex dst, const std::vector<bool>* edge_down) const {
-  constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> dist(vertex_count(), kUnreached);
+void Topology::distances_to(Vertex dst, const std::vector<bool>* edge_down,
+                            std::vector<std::uint32_t>& dist,
+                            std::vector<Vertex>& queue) const {
+  dist.assign(vertex_count(), kUnreached);
   dist[dst] = 0;
-  std::queue<Vertex> q;
-  q.push(dst);
-  while (!q.empty()) {
-    const Vertex v = q.front();
-    q.pop();
+  queue.clear();
+  queue.push_back(dst);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex v = queue[head];
     for (const std::uint32_t e : adj_[v]) {
       if (edge_down != nullptr && (*edge_down)[e]) continue;
       const Vertex n = edges_[e].to;
       if (dist[n] == kUnreached) {
         dist[n] = dist[v] + 1;
-        q.push(n);
+        queue.push_back(n);
       }
     }
   }
-  return dist;
 }
 
-void Topology::fill_routes(const std::vector<bool>* edge_down,
-                           std::vector<Route>& out) const {
-  constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
-  out.assign(hosts_ * hosts_, Route{});
+RouteTable Topology::build_routes(const std::vector<bool>* edge_down) const {
+  RouteTable t;
+  t.hosts_ = hosts_;
+  std::vector<std::uint32_t> dist;
+  std::vector<Vertex> queue;
+  // A shortest path takes exactly dist[from] hops, so one BFS pass per
+  // destination sizes the port array before any route is walked.
+  std::uint64_t total = 0;
   for (Vertex to = 0; to < hosts_; ++to) {
-    const std::vector<std::uint32_t> dist = distances_to(to, edge_down);
+    distances_to(to, edge_down, dist, queue);
     for (Vertex from = 0; from < hosts_; ++from) {
-      if (from == to || dist[from] == kUnreached) continue;
-      Route& r = out[static_cast<std::size_t>(from) * hosts_ + to];
-      r.ports.reserve(dist[from]);
-      Vertex cur = from;
-      while (cur != to) {
-        // Equal-cost next hops, in edge-construction order; the flow
-        // hash pins this (from,to) flow to one of them.
-        std::vector<std::uint32_t> next;
-        for (const std::uint32_t e : adj_[cur]) {
-          if (edge_down != nullptr && (*edge_down)[e]) continue;
-          if (dist[edges_[e].to] + 1 == dist[cur]) next.push_back(e);
-        }
-        const std::uint32_t e =
-            next[ecmp_hash(from, to, cur) % next.size()];
-        r.ports.push_back(e);
-        cur = edges_[e].to;
-      }
+      if (from != to && dist[from] != kUnreached) total += dist[from];
     }
   }
+  if (total > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("topology: route table exceeds 2^32 ports");
+  }
+  t.offsets_.reserve(hosts_ * hosts_ + 1);
+  t.offsets_.push_back(0);
+  t.ports_.reserve(static_cast<std::size_t>(total));
+  // Equal-cost next hops of the current vertex, reused at every hop.
+  std::vector<std::uint32_t> next;
+  for (Vertex to = 0; to < hosts_; ++to) {
+    distances_to(to, edge_down, dist, queue);
+    for (Vertex from = 0; from < hosts_; ++from) {
+      if (from != to && dist[from] != kUnreached) {
+        Vertex cur = from;
+        while (cur != to) {
+          // Equal-cost next hops, in edge-construction order; the flow
+          // hash pins this (from,to) flow to one of them.
+          next.clear();
+          for (const std::uint32_t e : adj_[cur]) {
+            if (edge_down != nullptr && (*edge_down)[e]) continue;
+            if (dist[edges_[e].to] + 1 == dist[cur]) next.push_back(e);
+          }
+          const std::uint32_t e =
+              next[ecmp_hash(from, to, cur) % next.size()];
+          t.ports_.push_back(e);
+          cur = edges_[e].to;
+        }
+      }
+      t.offsets_.push_back(static_cast<std::uint32_t>(t.ports_.size()));
+    }
+  }
+  return t;
 }
 
 void Topology::compute_routes() {
-  constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
-
   // Switch owners: hosts at minimal hop distance, (s mod count)-th
   // smallest id. adj_ ids are construction-ordered, so the candidate
   // set — and therefore the owner — is a pure function of the graph.
   owners_.assign(switch_count(), 0);
+  std::vector<std::uint32_t> dist;
+  std::vector<Vertex> queue;
+  std::vector<NodeId> candidates;
   for (std::uint32_t s = 0; s < switch_count(); ++s) {
-    const std::vector<std::uint32_t> dist =
-        distances_to(switch_vertex(s), nullptr);
+    distances_to(switch_vertex(s), nullptr, dist, queue);
     std::uint32_t best = kUnreached;
-    std::vector<NodeId> candidates;
+    candidates.clear();
     for (Vertex h = 0; h < hosts_; ++h) {
       if (dist[h] == kUnreached) continue;
       if (dist[h] < best) {
@@ -125,17 +145,15 @@ void Topology::compute_routes() {
     owners_[s] = candidates[s % candidates.size()];
   }
 
-  fill_routes(nullptr, routes_);
+  routes_ = build_routes(nullptr);
 }
 
-std::vector<Route> Topology::compute_routes_masked(
+RouteTable Topology::compute_routes_masked(
     const std::vector<bool>& edge_down) const {
   if (edge_down.size() != edges_.size()) {
     throw std::invalid_argument("compute_routes_masked: mask size mismatch");
   }
-  std::vector<Route> out;
-  fill_routes(&edge_down, out);
-  return out;
+  return build_routes(&edge_down);
 }
 
 sim::SimTime Topology::min_propagation() const {
@@ -144,11 +162,7 @@ sim::SimTime Topology::min_propagation() const {
   return m;
 }
 
-std::size_t Topology::max_route_hops() const {
-  std::size_t m = 0;
-  for (const Route& r : routes_) m = std::max(m, r.ports.size());
-  return m;
-}
+std::size_t Topology::max_route_hops() const { return routes_.max_hops(); }
 
 Topology build_topology(const TopologyConfig& cfg, std::size_t hosts,
                         const LinkParams& host_link) {

@@ -144,11 +144,12 @@ class Topology {
   [[nodiscard]] bool routes_computed() const { return !routes_.empty(); }
   /// The precomputed path from host `from` to host `to` (empty when
   /// from == to or the pair is disconnected).
-  [[nodiscard]] const Route& route(NodeId from, NodeId to) const {
-    return routes_[static_cast<std::size_t>(from) * hosts_ + to];
+  [[nodiscard]] Route route(NodeId from, NodeId to) const {
+    return routes_.route(from, to);
   }
+  [[nodiscard]] const RouteTable& routes() const { return routes_; }
 
-  /// The full host-major route table recomputed with the cables in
+  /// The full route table recomputed with the cables in
   /// `edge_down` (indexed by edge id, set pairwise — a cable is down in
   /// both directions) excluded: the deterministic ECMP failover table
   /// of a FaultPlan epoch. Same BFS + flow hash as compute_routes, so
@@ -156,7 +157,7 @@ class Topology {
   /// pairs with no surviving path get an empty route (the fabric turns
   /// those into accounted unreachable drops and the RC reliability
   /// layer keeps retrying until the fault heals).
-  [[nodiscard]] std::vector<Route> compute_routes_masked(
+  [[nodiscard]] RouteTable compute_routes_masked(
       const std::vector<bool>& edge_down) const;
 
   /// Minimum one-way propagation over every cable — the conservative
@@ -167,19 +168,21 @@ class Topology {
   [[nodiscard]] std::size_t max_route_hops() const;
 
  private:
-  /// Hop distance from every vertex to `dst` by reverse BFS, skipping
-  /// edges marked in `edge_down` (nullptr = no mask).
-  [[nodiscard]] std::vector<std::uint32_t> distances_to(
-      Vertex dst, const std::vector<bool>* edge_down) const;
-  void fill_routes(const std::vector<bool>* edge_down,
-                   std::vector<Route>& out) const;
+  /// Hop distance from every vertex to `dst` by reverse BFS into
+  /// `dist`, skipping edges marked in `edge_down` (nullptr = no mask).
+  /// `queue` is scratch space, reused across calls.
+  void distances_to(Vertex dst, const std::vector<bool>* edge_down,
+                    std::vector<std::uint32_t>& dist,
+                    std::vector<Vertex>& queue) const;
+  [[nodiscard]] RouteTable build_routes(
+      const std::vector<bool>* edge_down) const;
 
   std::size_t hosts_;
   std::vector<std::string> switch_names_;
   std::vector<NodeId> owners_;  ///< per switch, filled by compute_routes
   std::vector<Edge> edges_;
   std::vector<std::vector<std::uint32_t>> adj_;  ///< out-edge ids per vertex
-  std::vector<Route> routes_;  ///< host-major [from * hosts_ + to]
+  RouteTable routes_;
 };
 
 /// Materializes a preset for `hosts` nodes. `host_link` parameterizes

@@ -28,18 +28,18 @@ Rnic::~Rnic() { fabric_.unregister_node(id_); }
 
 Qp& Rnic::create_qp(Transport transport, Cq& send_cq, Cq& recv_cq) {
   auto qp = std::make_unique<Qp>();
-  qp->qpn = next_qpn_++;
+  qp->qpn = static_cast<std::uint32_t>(qps_.size() + 1);
   qp->transport = transport;
   qp->send_cq = &send_cq;
   qp->recv_cq = &recv_cq;
-  Qp& ref = *qp;
-  qps_[ref.qpn] = std::move(qp);
-  return ref;
+  qps_.push_back(std::move(qp));
+  return *qps_.back();
 }
 
 Qp* Rnic::find_qp(std::uint32_t qpn) {
-  const auto it = qps_.find(qpn);
-  return it == qps_.end() ? nullptr : it->second.get();
+  // qpn 0 wraps to the largest index and misses like any unknown QPN.
+  const std::size_t i = static_cast<std::uint32_t>(qpn - 1);
+  return i < qps_.size() ? qps_[i].get() : nullptr;
 }
 
 void Rnic::connect(Qp& qp, net::NodeId peer, std::uint32_t peer_qpn) {
@@ -940,7 +940,7 @@ void Rnic::crash() {
   dma_busy_until_ = 0;
   tx_busy_until_ = 0;
 
-  for (auto& [qpn, qp] : qps_) {
+  for (auto& qp : qps_) {
     qp->connected = false;
     qp->recv_queue.clear();
     qp->rnr_queue.clear();
@@ -951,7 +951,7 @@ void Rnic::crash() {
       wc.wr_id = wr.packet.wr_id;
       wc.status = WcStatus::kFlushed;
       wc.op = wr.packet.op;
-      wc.qpn = qpn;
+      wc.qpn = qp->qpn;
       qp->send_cq->push(wc);
     }
     clear_unacked(*qp);

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -144,7 +143,7 @@ class Rnic {
   /// lossy run that ends with parked duplicates must release them
   /// while all pools are still alive.
   void release_packet_buffers() {
-    for (auto& [qpn, qp] : qps_) {
+    for (auto& qp : qps_) {
       clear_unacked(*qp);
       qp->ooo.clear();
       qp->rnr_queue.clear();
@@ -255,8 +254,9 @@ class Rnic {
   bool alive_ = true;
   std::uint64_t epoch_ = 0;  ///< bumped on crash; stale callbacks no-op
 
-  std::uint32_t next_qpn_ = 1;
-  std::map<std::uint32_t, std::unique_ptr<Qp>> qps_;
+  /// Indexed by QPN - 1: QPNs are handed out densely from 1 and a QP
+  /// lives as long as its RNIC.
+  std::vector<std::unique_ptr<Qp>> qps_;
 
   std::uint64_t sram_used_ = 0;
   std::deque<net::Packet> backlog_;

@@ -73,13 +73,14 @@ class ZipfianGenerator {
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
            (1.0 - zeta2 / zetan_);
+    half_pow_theta_ = std::pow(0.5, theta_);
   }
 
   std::uint64_t next(Rng& rng) const {
     const double u = rng.uniform01();
     const double uz = u * zetan_;
     if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+    if (uz < 1.0 + half_pow_theta_) return 1;
     const auto v = static_cast<std::uint64_t>(
         static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
     return v >= n_ ? n_ - 1 : v;
@@ -88,19 +89,17 @@ class ZipfianGenerator {
   [[nodiscard]] std::uint64_t range() const { return n_; }
 
  private:
-  static double zeta(std::uint64_t n, double theta) {
-    double sum = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    }
-    return sum;
-  }
+  /// sum_{i=1..n} i^-theta. O(n), so it is memoised per (n, theta)
+  /// for the whole process: every cell of a sweep builds a generator
+  /// over the same key space. Safe to call from concurrent sweep jobs.
+  static double zeta(std::uint64_t n, double theta);
 
   std::uint64_t n_;
   double theta_;
   double zetan_;
   double alpha_;
   double eta_;
+  double half_pow_theta_;  ///< 0.5^theta, the rank-1 threshold of next()
 };
 
 /// "Latest" distribution used by YCSB workload D: skews towards the

@@ -14,10 +14,22 @@ namespace prdma::stats {
 /// of two is split into 2^kSubBits linear sub-buckets, bounding the
 /// relative quantile error at 2^-kSubBits (~1.6%). Suitable for
 /// nanosecond latencies spanning nine orders of magnitude.
+///
+/// Storage follows the samples, not the value range: occupied buckets
+/// live in a sorted sparse array of (count, index) pairs, allocated
+/// once at kSparseMaxBuckets entries on the first record. Only when a
+/// record or merge would occupy more buckets than that does the
+/// histogram switch to a dense array indexed by bucket (up to the
+/// highest bucket seen). Every query returns the same value in either
+/// representation.
 class LatencyHistogram {
  public:
   static constexpr int kSubBits = 6;
   static constexpr std::uint64_t kSubCount = 1ull << kSubBits;  // 64
+  /// Occupied buckets the sparse array holds before the histogram goes
+  /// dense: 64 entries of 16 B (1 KiB), the size of a dense array that
+  /// reaches only bucket 127, where a millisecond tail reaches ~1 150.
+  static constexpr std::size_t kSparseMaxBuckets = 64;
 
   void record(std::uint64_t value);
 
@@ -44,6 +56,15 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t p95() const { return percentile(0.95); }
   [[nodiscard]] std::uint64_t p99() const { return percentile(0.99); }
 
+  /// True once the histogram has switched to the dense array. Exposed
+  /// for tests.
+  [[nodiscard]] bool dense() const { return !dense_.empty(); }
+  /// Heap bytes held by the bucket storage. Exposed for tests.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return sparse_.capacity() * sizeof(Bucket) +
+           dense_.capacity() * sizeof(std::uint64_t);
+  }
+
   /// Maps a value to its bucket index. Exposed for tests.
   static std::size_t index_for(std::uint64_t v) {
     if (v < kSubCount) return static_cast<std::size_t>(v);
@@ -64,7 +85,17 @@ class LatencyHistogram {
   }
 
  private:
-  std::vector<std::uint64_t> buckets_;
+  struct Bucket {
+    std::uint64_t count;
+    std::uint32_t index;
+  };
+
+  /// Moves the sparse buckets into a dense array of at least `size`
+  /// entries and releases the sparse array.
+  void make_dense(std::size_t size);
+
+  std::vector<Bucket> sparse_;  ///< sorted by index; empty once dense
+  std::vector<std::uint64_t> dense_;  ///< per bucket; empty while sparse
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = UINT64_MAX;

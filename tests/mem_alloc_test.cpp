@@ -117,6 +117,45 @@ TEST(MemAlloc, PristineReadStageDmaCycleIsAllocationFree) {
   EXPECT_EQ(server.pristine().size(), 1u);
 }
 
+TEST(MemAlloc, OverlappingWatchFiresAreAllocationFree) {
+  // A ring watch per connection plus overlapping poll watches that come
+  // and go, and a callback that writes again (a nested fire): once
+  // warm, firing, adding and removing watches allocate nothing. The
+  // watched ranges are DRAM, so only the watch path is exercised.
+  sim::Simulator sim;
+  NodeMemoryParams params;
+  params.pm_capacity = 1 << 20;
+  params.dram_capacity = 1 << 20;
+  NodeMemory mem(sim, params);
+  constexpr std::uint64_t kBase = NodeMemory::kDramBase;
+  const std::vector<std::byte> word(8, std::byte{0x7});
+  std::uint64_t fired = 0;
+  for (std::uint64_t c = 0; c < 64; ++c) {
+    mem.add_watch(kBase + c * 4096, 4096, [&fired] { ++fired; });
+  }
+  mem.add_watch(kBase + 100, 8, [&] {
+    ++fired;
+    mem.cpu_write(kBase + 200 * 4096 + 8, word);  // nested fire
+  });
+  mem.add_watch(kBase + 200 * 4096, 64, [&fired] { ++fired; });
+  const auto cycle = [&](std::uint64_t i) {
+    const std::uint64_t addr = kBase + (i % 64) * 4096 + 96;
+    const auto poll = mem.add_watch(addr, 16, [&fired] { ++fired; });
+    mem.cpu_write(addr, word);  // ring watch + poll watch (+ nested)
+    mem.remove_watch(poll);
+  };
+  for (std::uint64_t i = 0; i < 200; ++i) cycle(i);  // warm-up
+
+  const std::uint64_t before = g_allocs.load();
+  const std::uint64_t fired_before = fired;
+  for (std::uint64_t i = 200; i < 1200; ++i) cycle(i);
+  EXPECT_EQ(g_allocs.load() - before, 0u)
+      << "steady-state watch fire/add/remove allocated";
+  // 1 000 writes, each firing the ring and poll watches, plus the
+  // nested pair on the 15 writes to ring 0 (i = 256, 320, ..., 1152).
+  EXPECT_EQ(fired - fired_before, 2000u + 15u * 2u);
+}
+
 TEST(MemAlloc, ByteStoreFlushCycleIsAllocationFree) {
   sim::Simulator sim;
   PmDevice pm(sim, "pm", 1 << 20, DeviceTiming{170, 90, 6.6e9, 12e9});

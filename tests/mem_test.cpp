@@ -7,6 +7,7 @@
 #include <array>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "mem/device.hpp"
 #include "mem/llc.hpp"
 #include "mem/node_memory.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace prdma::mem {
@@ -811,6 +813,172 @@ TEST_F(NodeMemFixture, DeviceTimingHelpersRouteByAddress) {
   const SimTime dram_t =
       mem2.device_write_complete_at(0, NodeMemory::kDramBase, 4096);
   EXPECT_GT(pm_t, dram_t) << "PM writes are slower than DRAM";
+}
+
+// ---------------------------------------------------------- write watches
+
+/// Write watches as NodeMemory kept them before it indexed them by
+/// address: one list in registration order, scanned in full on every
+/// write, with the matching callbacks copied before any of them runs.
+class WatchReference {
+ public:
+  std::uint64_t add_watch(std::uint64_t addr, std::uint64_t len,
+                          std::function<void()> fn) {
+    watches_.push_back(W{next_, addr, len, std::move(fn)});
+    return next_++;
+  }
+  void remove_watch(std::uint64_t id) {
+    std::erase_if(watches_, [id](const W& w) { return w.id == id; });
+  }
+  void write(std::uint64_t addr, std::uint64_t len) {
+    std::vector<std::function<void()>> cbs;
+    for (const W& w : watches_) {
+      if (w.addr < addr + len && addr < w.addr + w.len) cbs.push_back(w.fn);
+    }
+    for (auto& cb : cbs) cb();
+  }
+  [[nodiscard]] std::size_t watch_count() const { return watches_.size(); }
+
+ private:
+  struct W {
+    std::uint64_t id;
+    std::uint64_t addr;
+    std::uint64_t len;
+    std::function<void()> fn;
+  };
+  std::vector<W> watches_;
+  std::uint64_t next_ = 1;
+};
+
+/// NodeMemory behind the same three calls; writes are CPU stores.
+struct WatchedMemory {
+  NodeMemory& mem;
+  std::uint64_t add_watch(std::uint64_t addr, std::uint64_t len,
+                          std::function<void()> fn) {
+    return mem.add_watch(addr, len, std::move(fn));
+  }
+  void remove_watch(std::uint64_t id) { mem.remove_watch(id); }
+  void write(std::uint64_t addr, std::uint64_t len) {
+    static const std::vector<std::byte> zeros(4096);
+    mem.cpu_write(addr, std::span(zeros).first(len));
+  }
+  [[nodiscard]] std::size_t watch_count() const { return mem.watch_count(); }
+};
+
+/// What watch number `tag` does when it fires, fixed up front so both
+/// implementations run the same script: log its tag, then maybe remove
+/// a watch, add one, or write (firing watches from inside a fire).
+struct WatchAction {
+  enum Kind { kNone, kRemove, kAdd, kWrite } kind = kNone;
+  std::uint64_t addr = 0;
+  std::uint64_t len = 0;
+  std::uint64_t victim = 0;
+};
+
+template <typename Api>
+class WatchScript {
+ public:
+  WatchScript(Api& api, const std::vector<WatchAction>& actions)
+      : api_(api), actions_(actions) {}
+
+  void add(std::uint64_t addr, std::uint64_t len) {
+    const std::size_t tag = next_tag_++;
+    api_.add_watch(addr, len, [this, tag] { run(tag); });
+  }
+  [[nodiscard]] std::size_t watches_added() const { return next_tag_; }
+  std::vector<std::size_t> log;
+
+ private:
+  void run(std::size_t tag) {
+    log.push_back(tag);
+    const WatchAction& a = actions_[tag % actions_.size()];
+    switch (a.kind) {
+      case WatchAction::kNone: break;
+      case WatchAction::kRemove:
+        // Ids run 1..next_tag_ on both sides alike.
+        api_.remove_watch(1 + a.victim % next_tag_);
+        break;
+      case WatchAction::kAdd:
+        if (api_.watch_count() < 48) add(a.addr, a.len);
+        break;
+      case WatchAction::kWrite:
+        if (depth_ < 2) {
+          ++depth_;
+          api_.write(a.addr, a.len);
+          --depth_;
+        }
+        break;
+    }
+  }
+
+  Api& api_;
+  const std::vector<WatchAction>& actions_;
+  std::size_t next_tag_ = 0;
+  int depth_ = 0;
+};
+
+TEST_F(NodeMemFixture, WatchesFireLikeTheFullScan) {
+  // Overlapping watches of mixed lengths in a 4 KiB window; callbacks
+  // remove watches (possibly ones already snapshotted), add watches
+  // (never fired by the write that added them) and write again.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<WatchAction> actions(97);
+    for (WatchAction& a : actions) {
+      a.kind = static_cast<WatchAction::Kind>(rng.uniform(0, 3));
+      a.addr = rng.uniform(0, 4000);
+      a.len = rng.uniform(1, 96);
+      a.victim = rng.uniform(0, 1000);
+    }
+    NodeMemory mem(sim, params);
+    WatchedMemory real{mem};
+    WatchReference ref;
+    WatchScript<WatchedMemory> real_script(real, actions);
+    WatchScript<WatchReference> ref_script(ref, actions);
+    for (int step = 0; step < 400; ++step) {
+      const auto op = rng.uniform(0, 9);
+      const std::uint64_t addr = rng.uniform(0, 4000);
+      const std::uint64_t len = rng.uniform(1, op < 3 ? 512 : 96);
+      if (op < 3) {
+        real_script.add(addr, len);
+        ref_script.add(addr, len);
+      } else if (op == 3) {
+        const std::uint64_t id = rng.uniform(
+            1, std::max<std::uint64_t>(1, real_script.watches_added()));
+        real.remove_watch(id);
+        ref.remove_watch(id);
+      } else {
+        real.write(addr, len);
+        ref.write(addr, len);
+      }
+      ASSERT_EQ(real.watch_count(), ref.watch_count())
+          << "seed " << seed << " step " << step;
+    }
+    EXPECT_EQ(real_script.log, ref_script.log) << "seed " << seed;
+    EXPECT_GT(real_script.log.size(), 100u) << "seed " << seed;
+  }
+}
+
+TEST_F(NodeMemFixture, WatchRemovedMidFireStillRunsFromTheSnapshot) {
+  NodeMemory mem(sim, params);
+  std::vector<int> log;
+  NodeMemory::WatchId second = 0;
+  // Registered at a higher address first, so address order and
+  // registration order disagree.
+  const auto first = mem.add_watch(64, 64, [&] {
+    log.push_back(1);
+    mem.remove_watch(second);
+    mem.add_watch(0, 256, [&] { log.push_back(3); });
+  });
+  second = mem.add_watch(0, 128, [&] { log.push_back(2); });
+  const std::vector<std::byte> b(8);
+  mem.cpu_write(96, b);  // both match: 1 runs first, then 2 regardless
+  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+  log.clear();
+  mem.remove_watch(first);
+  mem.cpu_write(96, b);  // only the watch added mid-fire is left
+  EXPECT_EQ(log, (std::vector<int>{3}));
+  EXPECT_EQ(mem.watch_count(), 1u);
 }
 
 // ------------------------------------------------------------ BufferPool

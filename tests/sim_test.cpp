@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -12,6 +13,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hpp"
@@ -1178,6 +1181,58 @@ TEST_P(ZipfianTest, StaysInRangeAndIsSkewed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Skews, ZipfianTest, ::testing::Values(0.7, 0.9, 0.99));
+
+TEST(Zipfian, MemoisedGeneratorsDrawLikeADirectComputation) {
+  // The generator as it computed everything per instance and per draw:
+  // the O(n) zeta sum in the constructor, 0.5^theta in next().
+  struct Direct {
+    std::uint64_t n;
+    double theta, zetan, alpha, eta;
+    static double zeta(std::uint64_t n, double theta) {
+      double sum = 0.0;
+      for (std::uint64_t i = 1; i <= n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+      }
+      return sum;
+    }
+    Direct(std::uint64_t n_, double theta_) : n(n_), theta(theta_) {
+      zetan = zeta(n, theta);
+      alpha = 1.0 / (1.0 - theta);
+      eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+            (1.0 - zeta(2, theta) / zetan);
+    }
+    std::uint64_t next(Rng& rng) const {
+      const double u = rng.uniform01();
+      const double uz = u * zetan;
+      if (uz < 1.0) return 0;
+      if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+      const auto v = static_cast<std::uint64_t>(
+          static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+      return v >= n ? n - 1 : v;
+    }
+  };
+  // Generators built concurrently, as sweep jobs build them, and the
+  // memo hit by the second round, must all draw the direct sequence.
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [n, theta] : {std::pair<std::uint64_t, double>{1, 0.5},
+                                  {2, 0.99}, {1000, 0.7}, {50'000, 0.99}}) {
+      std::vector<std::optional<ZipfianGenerator>> gens(4);
+      std::vector<std::thread> builders;
+      for (auto& g : gens) {
+        builders.emplace_back([&g, n = n, theta = theta] { g.emplace(n, theta); });
+      }
+      for (auto& t : builders) t.join();
+      const Direct ref(n, theta);
+      for (const auto& g : gens) {
+        Rng a(n + 7);
+        Rng b(n + 7);
+        for (int i = 0; i < 2000; ++i) {
+          ASSERT_EQ(g->next(a), ref.next(b)) << "n=" << n << " draw " << i;
+        }
+      }
+    }
+  }
+}
 
 TEST(LatestGenerator, PrefersNewestKeys) {
   LatestGenerator latest(100);

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "stats/breakdown.hpp"
@@ -136,6 +138,203 @@ TEST(Histogram, PercentileClampedToObservedRange) {
   h.record(1'000'003);  // lands mid-bucket
   EXPECT_EQ(h.percentile(1.0), 1'000'003u);
   EXPECT_EQ(h.percentile(0.0), 1'000'003u);
+}
+
+// ----------------------------------------- Histogram vs dense reference
+
+/// The histogram as it was before it kept occupied buckets sparse: one
+/// dense counter per bucket up to the highest bucket seen. Every query
+/// of LatencyHistogram must return exactly what this returns.
+class DenseReference {
+ public:
+  void record(std::uint64_t value) {
+    ++count_;
+    sum_ += value;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+    const std::size_t idx = LatencyHistogram::index_for(value);
+    if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0);
+    ++buckets_[idx];
+  }
+  void merge(const DenseReference& other) {
+    if (other.buckets_.size() > buckets_.size()) {
+      buckets_.resize(other.buckets_.size(), 0);
+    }
+    for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
+    count_ += other.count_;
+    sum_ += other.sum_;
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+  }
+  void reset() { *this = DenseReference{}; }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] std::uint64_t sum() const { return sum_; }
+  [[nodiscard]] std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
+  [[nodiscard]] std::uint64_t max() const { return max_; }
+  [[nodiscard]] std::uint64_t percentile(double q) const {
+    if (count_ == 0) return 0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto rank = static_cast<std::uint64_t>(
+        q * static_cast<double>(count_) + 0.5);
+    const std::uint64_t target = std::max<std::uint64_t>(1, rank);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      seen += buckets_[i];
+      if (seen >= target) {
+        const auto [lo, hi] = LatencyHistogram::bucket_range(i);
+        return std::clamp(lo + (hi - lo) / 2, min_, max_);
+      }
+    }
+    return max_;
+  }
+
+ private:
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = UINT64_MAX;
+  std::uint64_t max_ = 0;
+};
+
+/// A histogram and its reference, fed the same stream.
+struct HistPair {
+  LatencyHistogram h;
+  DenseReference ref;
+  void record(std::uint64_t v) {
+    h.record(v);
+    ref.record(v);
+  }
+  void merge(const HistPair& other) {
+    h.merge(other.h);
+    ref.merge(other.ref);
+  }
+};
+
+/// Compares every query, at a fixed quantile grid and at every rank.
+void expect_same(const HistPair& p, const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(p.h.count(), p.ref.count());
+  EXPECT_EQ(p.h.sum(), p.ref.sum());
+  EXPECT_EQ(p.h.min(), p.ref.min());
+  EXPECT_EQ(p.h.max(), p.ref.max());
+  for (int i = 0; i <= 200; ++i) {
+    const double q = i / 200.0;
+    ASSERT_EQ(p.h.percentile(q), p.ref.percentile(q)) << "q=" << q;
+  }
+  const std::uint64_t n = p.h.count();
+  for (std::uint64_t r = 1; r <= std::min<std::uint64_t>(n, 4096); ++r) {
+    const double q = static_cast<double>(r) / static_cast<double>(n);
+    ASSERT_EQ(p.h.percentile(q), p.ref.percentile(q)) << "rank " << r;
+  }
+}
+
+/// Values from a log-uniform spread over [0, 2^bits): many buckets.
+std::uint64_t wide_value(std::mt19937_64& gen, int bits) {
+  const int b = static_cast<int>(gen() % static_cast<std::uint64_t>(bits));
+  return b == 0 ? 0 : gen() >> (64 - b);
+}
+
+TEST(HistogramDifferential, RandomStreamsMatchTheDenseReference) {
+  std::mt19937_64 gen(11);
+  for (int trial = 0; trial < 60; ++trial) {
+    HistPair p;
+    // Stream lengths straddle the sparse threshold in occupied buckets.
+    const int n = 1 + static_cast<int>(gen() % 400);
+    const int bits = 1 + static_cast<int>(gen() % 63);
+    for (int i = 0; i < n; ++i) {
+      p.record(trial % 3 == 0 ? 8'000'000 + gen() % 2'000'000
+                              : wide_value(gen, bits));
+    }
+    expect_same(p, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(HistogramDifferential, EdgeValuesMatchTheDenseReference) {
+  const std::uint64_t top = 1ull << 63;
+  const std::vector<std::uint64_t> edges = {
+      0, 1, 62, 63, 64, 65, 127, 128, top - 1, top, top + 1,
+      UINT64_MAX - 1, UINT64_MAX};
+  HistPair p;
+  for (const std::uint64_t v : edges) {
+    p.record(v);
+    expect_same(p, "after " + std::to_string(v));
+  }
+  // The same values in reverse order insert at the sparse array's head.
+  HistPair rev;
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) rev.record(*it);
+  expect_same(rev, "reverse");
+  // Exactly kSparseMaxBuckets occupied buckets stays sparse; one more
+  // bucket goes dense.
+  HistPair fill;
+  for (std::uint64_t v = 0; v < LatencyHistogram::kSparseMaxBuckets; ++v) {
+    fill.record(v);
+    fill.record(v);
+  }
+  EXPECT_FALSE(fill.h.dense());
+  expect_same(fill, "full sparse");
+  fill.record(top);
+  EXPECT_TRUE(fill.h.dense());
+  expect_same(fill, "first dense");
+  fill.record(0);
+  expect_same(fill, "dense repeat");
+}
+
+TEST(HistogramDifferential, MergeAcrossRepresentationsMatches) {
+  // Histograms with few and with many occupied buckets: every
+  // combination of sparse and dense on both sides, plus empty sides.
+  const auto make = [](std::uint64_t seed, int distinct) {
+    HistPair p;
+    std::mt19937_64 gen(seed);
+    for (int i = 0; i < distinct; ++i) {
+      p.record(static_cast<std::uint64_t>(i) * 997 + gen() % 50);
+      p.record(wide_value(gen, distinct > 64 ? 40 : 20));
+    }
+    return p;
+  };
+  const std::vector<int> sizes = {0, 1, 20, 40, 200};
+  for (const int a : sizes) {
+    for (const int b : sizes) {
+      HistPair x = make(static_cast<std::uint64_t>(a * 31 + b), a);
+      const HistPair y = make(static_cast<std::uint64_t>(b * 17 + a + 1), b);
+      const bool x_dense = x.h.dense();
+      x.merge(y);
+      expect_same(x, "merge " + std::to_string(a) + "+" + std::to_string(b) +
+                         (x_dense ? " (dense)" : " (sparse)"));
+    }
+  }
+  // Self-merge doubles every bucket, in either representation.
+  for (const int a : {20, 200}) {
+    HistPair x = make(99, a);
+    x.h.merge(x.h);
+    x.ref.merge(x.ref);
+    expect_same(x, "self merge " + std::to_string(a));
+  }
+}
+
+TEST(HistogramDifferential, ResetThenRecordMatches) {
+  for (const int distinct : {10, 300}) {
+    HistPair p;
+    std::mt19937_64 gen(static_cast<std::uint64_t>(distinct));
+    for (int i = 0; i < distinct; ++i) p.record(wide_value(gen, 50));
+    p.h.reset();
+    p.ref.reset();
+    EXPECT_FALSE(p.h.dense());
+    expect_same(p, "reset");
+    for (int i = 0; i < 30; ++i) p.record(wide_value(gen, 30));
+    expect_same(p, "after reset " + std::to_string(distinct));
+  }
+}
+
+TEST(Histogram, SixtyFourSamplesHoldAtMostOneKiB) {
+  // rack512's pool histograms hold at most 64 samples each, spread
+  // over a millisecond tail (bucket ~1 150: 9 KiB as a dense array).
+  LatencyHistogram h;
+  std::mt19937_64 gen(3);
+  for (int i = 0; i < 64; ++i) h.record(1'000 + gen() % 8'000'000);
+  EXPECT_FALSE(h.dense());
+  EXPECT_LE(h.heap_bytes(), 1024u);
 }
 
 // --------------------------------------------------------------- Summary

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -28,6 +29,11 @@ using net::LinkParams;
 using net::Topology;
 using net::TopologyConfig;
 using net::TopologyPreset;
+
+/// A route's port ids, as a comparable vector.
+std::vector<std::uint32_t> ports_of(const net::Route& r) {
+  return {r.ports.begin(), r.ports.end()};
+}
 
 // ------------------------------------------------------ preset names
 
@@ -58,7 +64,7 @@ TEST(TopologyGraph, RackRoutesEveryPairThroughTheSingleTor) {
   const net::Vertex tor = t.switch_vertex(0);
   for (net::NodeId from = 0; from < 5; ++from) {
     for (net::NodeId to = 0; to < 5; ++to) {
-      const net::Route& r = t.route(from, to);
+      const net::Route r = t.route(from, to);
       if (from == to) {
         EXPECT_TRUE(r.ports.empty());
         continue;
@@ -88,11 +94,11 @@ TEST(TopologyGraph, LeafSpineRoutesAreDeterministicAndEcmpSpreads) {
   std::set<net::Vertex> spines_used;
   for (net::NodeId from = 0; from < kHosts; ++from) {
     for (net::NodeId to = 0; to < kHosts; ++to) {
-      const net::Route& ra = a.route(from, to);
-      const net::Route& rb = b.route(from, to);
+      const net::Route ra = a.route(from, to);
+      const net::Route rb = b.route(from, to);
       // Same graph, same seeds: the table is reproducible build to
       // build (ECMP choices are pure functions of (src, dst, vertex)).
-      EXPECT_EQ(ra.ports, rb.ports) << from << "->" << to;
+      EXPECT_EQ(ports_of(ra), ports_of(rb)) << from << "->" << to;
       if (from == to) continue;
       const bool same_rack = (from / 4) == (to / 4);
       ASSERT_EQ(ra.ports.size(), same_rack ? 2u : 4u) << from << "->" << to;
@@ -203,7 +209,7 @@ TEST(RackPartitionMap, MirrorsTheLeafSpineStriping) {
   // tor{map[h]}.
   net::Topology topo = net::build_topology(cfg, 10, LinkParams{});
   for (net::Vertex h = 0; h < 10; ++h) {
-    const net::Route& r = topo.route(h, h == 0 ? 9 : 0);
+    const net::Route r = topo.route(h, h == 0 ? 9 : 0);
     const net::Vertex first_switch = topo.edge(r.ports[0]).to;
     EXPECT_EQ(topo.switch_name(
                   static_cast<std::uint32_t>(first_switch - 10)),
@@ -375,7 +381,7 @@ TEST(FaultRouting, MaskedRoutesSteerAroundDownedTrunks) {
   const auto base = t.compute_routes_masked(up);
   for (net::NodeId from = 0; from < kHosts; ++from) {
     for (net::NodeId to = 0; to < kHosts; ++to) {
-      EXPECT_EQ(base[from * kHosts + to].ports, t.route(from, to).ports);
+      EXPECT_EQ(ports_of(base.route(from, to)), ports_of(t.route(from, to)));
     }
   }
 
@@ -383,7 +389,7 @@ TEST(FaultRouting, MaskedRoutesSteerAroundDownedTrunks) {
   // hop index 1) in both directions: every surviving route must avoid
   // it, and cross-rack pairs must still be connected via the other
   // spine.
-  const net::Route& victim = t.route(0, 4);
+  const net::Route victim = t.route(0, 4);
   ASSERT_EQ(victim.ports.size(), 4u);
   const std::uint32_t dead = victim.ports[1];
   std::vector<bool> mask(t.edge_count(), false);
@@ -396,7 +402,7 @@ TEST(FaultRouting, MaskedRoutesSteerAroundDownedTrunks) {
   const auto rerouted = t.compute_routes_masked(mask);
   for (net::NodeId from = 0; from < kHosts; ++from) {
     for (net::NodeId to = 0; to < kHosts; ++to) {
-      const net::Route& r = rerouted[from * kHosts + to];
+      const net::Route r = rerouted.route(from, to);
       if (from == to) continue;
       ASSERT_FALSE(r.ports.empty()) << from << "->" << to;
       for (const std::uint32_t e : r.ports) {
@@ -407,8 +413,11 @@ TEST(FaultRouting, MaskedRoutesSteerAroundDownedTrunks) {
   }
   // Deterministic: the same mask yields the same table.
   const auto again = t.compute_routes_masked(mask);
-  for (std::size_t i = 0; i < rerouted.size(); ++i) {
-    EXPECT_EQ(rerouted[i].ports, again[i].ports);
+  for (net::NodeId from = 0; from < kHosts; ++from) {
+    for (net::NodeId to = 0; to < kHosts; ++to) {
+      EXPECT_EQ(ports_of(rerouted.route(from, to)),
+                ports_of(again.route(from, to)));
+    }
   }
 }
 
@@ -424,10 +433,111 @@ TEST(FaultRouting, FullyMaskedDestinationBecomesUnreachable) {
     if (t.edge(e).from == 2 || t.edge(e).to == 2) mask[e] = true;
   }
   const auto routes = t.compute_routes_masked(mask);
-  EXPECT_TRUE(routes[0 * 3 + 2].ports.empty());
-  EXPECT_TRUE(routes[1 * 3 + 2].ports.empty());
+  EXPECT_TRUE(routes.route(0, 2).ports.empty());
+  EXPECT_TRUE(routes.route(1, 2).ports.empty());
   // The rest of the fabric still routes.
-  EXPECT_FALSE(routes[0 * 3 + 1].ports.empty());
+  EXPECT_FALSE(routes.route(0, 1).ports.empty());
+}
+
+// ------------------------------------- route table vs per-pair walk
+
+/// The route of one pair, found the way the fabric first found routes:
+/// a fresh reverse BFS to `to` over the unmasked cables, then a walk
+/// that picks among equal-cost out-edges (edge-id order) by the flow
+/// hash. Uses only the public graph API.
+std::vector<std::uint32_t> reference_route(const Topology& t, net::NodeId from,
+                                           net::NodeId to,
+                                           const std::vector<bool>& down) {
+  constexpr std::uint32_t kFar = UINT32_MAX;
+  std::vector<std::uint32_t> dist(t.vertex_count(), kFar);
+  std::vector<net::Vertex> frontier = {to};
+  dist[to] = 0;
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    const net::Vertex v = frontier[i];
+    for (std::uint32_t e = 0; e < t.edge_count(); ++e) {
+      const auto& edge = t.edge(e);
+      if (down[e] || edge.to != v || dist[edge.from] != kFar) continue;
+      dist[edge.from] = dist[v] + 1;
+      frontier.push_back(edge.from);
+    }
+  }
+  std::vector<std::uint32_t> path;
+  if (from == to || dist[from] == kFar) return path;
+  net::Vertex cur = from;
+  while (cur != to) {
+    std::vector<std::uint32_t> next;
+    for (std::uint32_t e = 0; e < t.edge_count(); ++e) {
+      const auto& edge = t.edge(e);
+      if (!down[e] && edge.from == cur && dist[edge.to] + 1 == dist[cur]) {
+        next.push_back(e);
+      }
+    }
+    const std::uint32_t e = next[net::ecmp_hash(from, to, cur) % next.size()];
+    path.push_back(e);
+    cur = t.edge(e).to;
+  }
+  return path;
+}
+
+void expect_table_matches_reference(const Topology& t,
+                                    const net::RouteTable& table,
+                                    const std::vector<bool>& down,
+                                    const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(table.hosts(), t.host_count());
+  for (net::NodeId from = 0; from < t.host_count(); ++from) {
+    for (net::NodeId to = 0; to < t.host_count(); ++to) {
+      ASSERT_EQ(ports_of(table.route(from, to)),
+                reference_route(t, from, to, down))
+          << from << "->" << to;
+    }
+  }
+}
+
+TEST(RouteTable, MatchesAPerPairWalkOnRackAndLeafSpine) {
+  struct Shape {
+    TopologyPreset preset;
+    std::uint32_t hosts_per_rack;
+    std::uint32_t spines;
+    std::size_t hosts;
+  };
+  for (const Shape sh : {Shape{TopologyPreset::kRack, 0, 0, 9},
+                         Shape{TopologyPreset::kLeafSpine, 4, 2, 12},
+                         Shape{TopologyPreset::kLeafSpine, 5, 3, 23},
+                         Shape{TopologyPreset::kLeafSpine, 16, 2, 40}}) {
+    TopologyConfig cfg;
+    cfg.preset = sh.preset;
+    cfg.hosts_per_rack = sh.hosts_per_rack;
+    cfg.spines = std::max(1u, sh.spines);
+    const Topology t = net::build_topology(cfg, sh.hosts, LinkParams{});
+    const std::string name = std::string(net::preset_name(sh.preset)) + "/" +
+                             std::to_string(sh.hosts);
+    const std::vector<bool> none(t.edge_count(), false);
+    expect_table_matches_reference(t, t.routes(), none, name);
+    // Random masks, downed pairwise like the fabric's fault epochs
+    // (connect() gives the two directions of a cable ids 2k, 2k+1).
+    sim::Rng rng(sh.hosts);
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<bool> down(t.edge_count(), false);
+      for (std::uint32_t e = 0; e + 1 < t.edge_count(); e += 2) {
+        if (rng.bernoulli(0.15)) down[e] = down[e + 1] = true;
+      }
+      expect_table_matches_reference(t, t.compute_routes_masked(down), down,
+                                     name + " mask " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(RouteTable, LeafSpine512FitsInSixMiB) {
+  // rack512's fabric: 32 racks of 16 hosts behind 2 spines, 262 144
+  // host pairs of 2 or 4 hops.
+  TopologyConfig cfg;
+  cfg.preset = TopologyPreset::kLeafSpine;
+  cfg.hosts_per_rack = 16;
+  cfg.spines = 2;
+  const Topology t = net::build_topology(cfg, 512, LinkParams{});
+  EXPECT_EQ(t.max_route_hops(), 4u);
+  EXPECT_LE(t.routes().heap_bytes(), 6u << 20);
 }
 
 TEST(FaultInjection, SwitchCrashIsAccountedAndHeals) {
