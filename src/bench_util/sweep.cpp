@@ -48,10 +48,15 @@ void SweepRunner::for_each_hinted(std::size_t n,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   if (hints.size() == n) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&hints](std::size_t a, std::size_t b) {
-                       return hints[a] > hints[b];
-                     });
+    // Ties keep index order, as a stable sort would; std::sort needs no
+    // temporary buffer, whose new/delete pairing ASan misreports when
+    // the test binaries load another libstdc++ than the compiler's.
+    std::sort(order.begin(), order.end(),
+              [&hints](std::size_t a, std::size_t b) {
+                if (hints[a] > hints[b]) return true;
+                if (hints[b] > hints[a]) return false;
+                return a < b;
+              });
   }
   // Collect failures per original index so the rethrown exception is
   // the lowest-index one regardless of the hint permutation.

@@ -585,7 +585,9 @@ sim::Task<> DurableRpcClient::credit_pump() {
 }
 
 sim::Task<RpcResult> DurableRpcClient::call(const RpcRequest& req) {
-  co_return co_await transmit_entry(req.op, req.obj_id, req.len, 1);
+  // Not a coroutine: hands transmit_entry's frame straight to the
+  // caller, one frame fewer per op in flight.
+  return transmit_entry(req.op, req.obj_id, req.len, 1);
 }
 
 sim::Task<RpcResult> DurableRpcClient::call_batch(

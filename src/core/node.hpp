@@ -203,11 +203,15 @@ class Cluster {
     }
   }
 
-  /// Buffered packets (ooo / RNR / unacked windows) hold PayloadRefs
-  /// into their sender's pool; release them all before the first node
-  /// (and its pool) goes away — a lossy run can end with duplicates
-  /// still parked in another node's reorder buffer.
+  /// Processes still parked when the run ended (CQ dispatchers, server
+  /// loops, polls) reference nodes, so their frames are destroyed
+  /// first, while every node is alive. Buffered packets (ooo / RNR /
+  /// unacked windows) hold PayloadRefs into their sender's pool;
+  /// release them all before the first node (and its pool) goes away —
+  /// a lossy run can end with duplicates still parked in another
+  /// node's reorder buffer.
   ~Cluster() {
+    engine_.destroy_parked_roots();
     for (auto& n : nodes_) {
       if (n) n->rnic().release_packet_buffers();
     }

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "core/node.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -117,8 +118,20 @@ struct RpcDeployment {
 /// then charges one poll detection on `poller`'s host. Resolves
 /// immediately (cost only) if `ready` already holds. Client-side
 /// helper; server loops use channel-based pumps so crashes can cancel
-/// them.
+/// them. The predicate lives in the coroutine frame: no std::function,
+/// so a capture of any size costs no allocation.
+template <typename Ready>
 sim::Task<> poll_until(Node& node, std::uint64_t addr, std::uint64_t len,
-                       std::function<bool()> ready);
+                       Ready ready) {
+  if (!ready()) {
+    sim::Event ev(node.rnic().simulator());
+    const auto watch = node.mem().add_watch(addr, len, [&ev, &ready] {
+      if (ready()) ev.set();
+    });
+    co_await ev.wait();
+    node.mem().remove_watch(watch);
+  }
+  co_await node.host().charge_poll();
+}
 
 }  // namespace prdma::core

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "rnic/completion.hpp"
 #include "sim/simulator.hpp"
@@ -46,16 +48,17 @@ class Completer {
     // Keep the state alive for the whole await, even if the Completer
     // object itself is destroyed mid-flight (crash recovery).
     const std::shared_ptr<State> st = state_;
-    if (const auto it = st->ready.find(wr_id); it != st->ready.end()) {
+    if (const auto it = find_ready(*st, wr_id); it != st->ready.end()) {
       const rnic::Wc wc = it->second;
-      st->ready.erase(it);
+      *it = st->ready.back();
+      st->ready.pop_back();
       co_return wc;
     }
     if (st->stopped) co_return std::nullopt;
     Waiter w{sim::Event(st->sim), {}};
-    st->waiters.emplace(wr_id, &w);
+    st->waiters.insert(waiter_at_or_after(*st, wr_id), {wr_id, &w});
     const bool ok = co_await w.event.wait();
-    st->waiters.erase(wr_id);
+    erase_waiter(*st, wr_id);
     if (!ok || !w.result.has_value()) co_return std::nullopt;
     co_return w.result;
   }
@@ -90,21 +93,48 @@ class Completer {
     std::optional<rnic::Wc> result;
   };
 
+  using ReadyList = std::vector<std::pair<std::uint64_t, rnic::Wc>>;
+  using WaiterList = std::vector<std::pair<std::uint64_t, Waiter*>>;
+
   struct State {
     State(sim::Simulator& s, rnic::Cq& q) : sim(s), cq(q) {}
     sim::Simulator& sim;
     rnic::Cq& cq;
     bool stopped = false;
     std::uint64_t next_wr = 1;
-    std::map<std::uint64_t, rnic::Wc> ready;
-    std::map<std::uint64_t, Waiter*> waiters;
+    /// Completions that arrived before their waiter (any order), and
+    /// parked waiters sorted by wr_id. Each holds about one entry per
+    /// outstanding verb, so flat vectors searched in place stop
+    /// allocating once they reach their high-water mark.
+    ReadyList ready;
+    WaiterList waiters;
+    /// abort_waiters()' snapshot, kept for its capacity.
+    WaiterList aborting;
   };
 
+  static ReadyList::iterator find_ready(State& st, std::uint64_t wr_id) {
+    return std::find_if(st.ready.begin(), st.ready.end(),
+                        [wr_id](const auto& e) { return e.first == wr_id; });
+  }
+
+  static WaiterList::iterator waiter_at_or_after(State& st,
+                                                 std::uint64_t wr_id) {
+    return std::lower_bound(
+        st.waiters.begin(), st.waiters.end(), wr_id,
+        [](const auto& e, std::uint64_t id) { return e.first < id; });
+  }
+
+  static void erase_waiter(State& st, std::uint64_t wr_id) {
+    const auto it = waiter_at_or_after(st, wr_id);
+    if (it != st.waiters.end() && it->first == wr_id) st.waiters.erase(it);
+  }
+
   static void abort_waiters(State& st) {
-    // Waiters erase themselves on resume; iterate over a snapshot.
-    std::map<std::uint64_t, Waiter*> pending;
-    pending.swap(st.waiters);
-    for (auto& [id, w] : pending) w->event.abort();
+    // Waiters erase themselves on resume; abort them from a snapshot,
+    // in wr_id order.
+    st.aborting.swap(st.waiters);
+    for (auto& [id, w] : st.aborting) w->event.abort();
+    st.aborting.clear();
   }
 
   static sim::Task<> run(std::shared_ptr<State> st) {
@@ -118,13 +148,13 @@ class Completer {
       }
       if (!wc.has_value()) break;  // CQ closed or crash-reset
       if (wc->wr_id == kSilentWr) continue;  // fire-and-forget post
-      if (const auto it = st->waiters.find(wc->wr_id);
-          it != st->waiters.end()) {
+      if (const auto it = waiter_at_or_after(*st, wc->wr_id);
+          it != st->waiters.end() && it->first == wc->wr_id) {
         it->second->result = *wc;
         it->second->event.set();
         st->waiters.erase(it);
-      } else {
-        st->ready.emplace(wc->wr_id, *wc);
+      } else if (find_ready(*st, wc->wr_id) == st->ready.end()) {
+        st->ready.emplace_back(wc->wr_id, *wc);  // first one wins
       }
     }
     // Wake any remaining waiters with "no completion".

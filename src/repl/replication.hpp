@@ -1,8 +1,9 @@
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -153,9 +154,86 @@ class ReplicaSet : public core::RpcServer {
 struct TxnRecord {
   std::uint64_t txn = 0;
   std::uint32_t payload_len = 0;
-  std::vector<std::uint64_t> seq_on;
+  std::span<std::uint64_t> seq_on;  ///< one per replica, in the ledger
   sim::SimTime acked_at = 0;
   bool acked = false;
+};
+
+/// Every transaction one client issued, indexed by txn (dense from 1).
+/// Records and their seq_on arrays live in chunks that double in size
+/// (kFirstChunk records first), so a record never moves while a
+/// coroutine holds it and the ledger allocates O(log n) times over a
+/// run instead of twice per transaction. Iterates in txn order as
+/// (txn, record) pairs, like the std::map it replaces.
+class TxnLedger {
+ public:
+  explicit TxnLedger(std::size_t replicas) : replicas_(replicas) {}
+
+  /// Appends the record of transaction size() + 1, seq_on all zero.
+  TxnRecord& add() {
+    const std::size_t i = size_;
+    const std::size_t k = chunk_of(i);
+    if (k == chunks_.size()) {
+      const std::size_t n = kFirstChunk << k;
+      chunks_.push_back(Chunk{std::make_unique<TxnRecord[]>(n),
+                              std::make_unique<std::uint64_t[]>(n * replicas_)});
+    }
+    const std::size_t off = i - chunk_base(k);
+    TxnRecord& rec = chunks_[k].records[off];
+    rec.txn = ++size_;
+    rec.seq_on = {&chunks_[k].seqs[off * replicas_], replicas_};
+    return rec;
+  }
+
+  /// The record of transaction `txn` (1 <= txn <= size()).
+  [[nodiscard]] TxnRecord& at(std::uint64_t txn) {
+    const std::size_t k = chunk_of(txn - 1);
+    return chunks_[k].records[txn - 1 - chunk_base(k)];
+  }
+  [[nodiscard]] const TxnRecord& at(std::uint64_t txn) const {
+    return const_cast<TxnLedger*>(this)->at(txn);
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
+
+  class const_iterator {
+   public:
+    using value_type = std::pair<std::uint64_t, const TxnRecord&>;
+    using difference_type = std::ptrdiff_t;
+
+    const_iterator(const TxnLedger* l, std::uint64_t txn) : l_(l), txn_(txn) {}
+    value_type operator*() const { return {txn_, l_->at(txn_)}; }
+    const_iterator& operator++() {
+      ++txn_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return txn_ == o.txn_; }
+
+   private:
+    const TxnLedger* l_;
+    std::uint64_t txn_;
+  };
+  [[nodiscard]] const_iterator begin() const { return {this, 1}; }
+  [[nodiscard]] const_iterator end() const { return {this, size_ + 1}; }
+
+ private:
+  static constexpr std::size_t kFirstChunk = 64;
+  /// Chunk k holds records [kFirstChunk * (2^k - 1), kFirstChunk * (2^(k+1) - 1)).
+  static std::size_t chunk_of(std::size_t i) {
+    return static_cast<std::size_t>(std::bit_width(i / kFirstChunk + 1)) - 1;
+  }
+  static std::size_t chunk_base(std::size_t k) {
+    return kFirstChunk * ((std::size_t{1} << k) - 1);
+  }
+
+  struct Chunk {
+    std::unique_ptr<TxnRecord[]> records;
+    std::unique_ptr<std::uint64_t[]> seqs;
+  };
+  std::size_t replicas_;
+  std::size_t size_ = 0;
+  std::vector<Chunk> chunks_;
 };
 
 /// Client half: owns one DurableRpcClient per replica ("hop").
@@ -193,9 +271,7 @@ class ReplicatedClient : public core::RpcClient {
   using TxnAckHook = std::function<void(const TxnRecord&)>;
   void set_txn_ack_hook(TxnAckHook fn) { txn_ack_hook_ = std::move(fn); }
 
-  [[nodiscard]] const std::map<std::uint64_t, TxnRecord>& txns() const {
-    return txns_;
-  }
+  [[nodiscard]] const TxnLedger& txns() const { return txns_; }
   [[nodiscard]] std::uint64_t acked() const { return acked_; }
   [[nodiscard]] std::uint64_t resends() const { return resends_; }
 
@@ -227,10 +303,9 @@ class ReplicatedClient : public core::RpcClient {
   std::vector<std::unique_ptr<core::DurableRpcClient>> hops_;
   std::vector<std::size_t> hop_host_;
   std::vector<bool> hop_dirty_;  ///< endpoint died; reconnect when possible
-  std::uint64_t next_txn_ = 1;
   std::uint64_t acked_ = 0;
   std::uint64_t resends_ = 0;
-  std::map<std::uint64_t, TxnRecord> txns_;
+  TxnLedger txns_;
   TxnAckHook txn_ack_hook_;
 };
 

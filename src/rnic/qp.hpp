@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
 
 #include "net/packet.hpp"
 #include "rnic/completion.hpp"
+#include "rnic/seq_window.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -38,7 +37,7 @@ struct Qp {
   Cq* send_cq = nullptr;
   Cq* recv_cq = nullptr;
 
-  std::deque<RecvWqe> recv_queue;
+  sim::RingQueue<RecvWqe> recv_queue;
 
   // --- sender-side RC reliability state ---
   std::uint64_t next_seq = 0;
@@ -52,7 +51,7 @@ struct Qp {
     /// WR leaves `unacked`.
     sim::EventHandle timer;
   };
-  std::map<std::uint64_t, PendingWr> unacked;  // seq -> wr
+  SeqWindow<PendingWr> unacked;  // seq -> wr
   /// Retry budget exhausted: the QP took the bounded-retry -> error
   /// escalation. Pending WRs were flushed; new posts fail immediately.
   bool in_error = false;
@@ -64,13 +63,13 @@ struct Qp {
   std::uint64_t last_send_len = 0;
 
   /// Packets that arrived before a recv buffer was posted (RNR queue).
-  std::deque<net::Packet> rnr_queue;
+  sim::RingQueue<net::Packet> rnr_queue;
 
   /// Receiver-side RC ordering: next sequence number to process.
   /// Packets that arrive early (network jitter) wait in `ooo`;
   /// packets below `expected_seq` are retransmitted duplicates.
   std::uint64_t expected_seq = 0;
-  std::map<std::uint64_t, net::Packet> ooo;
+  SeqWindow<net::Packet> ooo;
 };
 
 }  // namespace prdma::rnic

@@ -253,7 +253,7 @@ sim::SimTime Rnic::backoff_delay(int timeouts) const {
 void Rnic::fail_qp(Qp& qp) {
   qp.in_error = true;
   bool head = true;
-  for (auto& [seq, wr] : qp.unacked) {
+  qp.unacked.for_each([&](std::uint64_t, const Qp::PendingWr& wr) {
     if (qp.send_cq != nullptr) {
       Wc wc;
       wc.wr_id = wr.packet.wr_id;
@@ -263,12 +263,13 @@ void Rnic::fail_qp(Qp& qp) {
       qp.send_cq->push(wc);
     }
     head = false;
-  }
+  });
   clear_unacked(qp);
 }
 
 void Rnic::clear_unacked(Qp& qp) {
-  for (auto& [seq, wr] : qp.unacked) sim_.cancel(wr.timer);
+  qp.unacked.for_each(
+      [this](std::uint64_t, const Qp::PendingWr& wr) { sim_.cancel(wr.timer); });
   qp.unacked.clear();
 }
 
@@ -286,43 +287,42 @@ sim::EventHandle Rnic::arm_retransmit(std::uint32_t qpn, std::uint64_t seq,
     // but a smartnic_rflush notify (maybe_auto_persist) can still be
     // posted on it and park here until its ACK arrives.
     if (qp->in_error) return;
-    const auto it = qp->unacked.find(seq);
-    assert(it != qp->unacked.end());
-    if (it != qp->unacked.begin()) {
+    Qp::PendingWr* const pending = qp->unacked.find(seq);
+    assert(pending != nullptr);
+    if (seq != qp->unacked.front_seq()) {
       // Not the head of the unacked window. The head's timer drives
       // go-back-N (which replays this packet too); keep watching at
       // the base cadence until this packet is ACKed or becomes head.
-      it->second.timer =
-          arm_retransmit(qpn, seq, params_.retransmit_interval);
+      pending->timer = arm_retransmit(qpn, seq, params_.retransmit_interval);
       return;
     }
-    if (it->second.attempts > params_.max_retransmits) {
+    if (pending->attempts > params_.max_retransmits) {
       fail_qp(*qp);
       return;
     }
-    ++it->second.attempts;
+    ++pending->attempts;
     // Go-back-N: a head timeout means everything after the last
     // cumulative ACK is suspect — replay the whole unacked window in
     // sequence order. PendingWr keeps the original PayloadRef, so a
     // replay shares the same payload block (zero-copy).
-    for (auto& [s, wr] : qp->unacked) {
+    qp->unacked.for_each([this](std::uint64_t, const Qp::PendingWr& wr) {
       ++retransmits_;
       if (tracer_ != nullptr) {
         tracer_->counter(trace::Component::kRnicRetransmit, sim_.now(), 1,
                          static_cast<std::uint16_t>(id_));
       }
       fabric_.send(wr.packet);
-    }
-    it->second.timer =
-        arm_retransmit(qpn, seq, backoff_delay(it->second.attempts - 1));
+    });
+    pending->timer =
+        arm_retransmit(qpn, seq, backoff_delay(pending->attempts - 1));
   });
 }
 
 void Rnic::complete_send_wr(Qp& qp, std::uint64_t seq, const Packet& ack) {
-  const auto it = qp.unacked.find(seq);
-  if (it == qp.unacked.end()) return;  // duplicate ACK
-  sim_.cancel(it->second.timer);
-  const Packet& orig = it->second.packet;
+  Qp::PendingWr* const pending = qp.unacked.find(seq);
+  if (pending == nullptr) return;  // duplicate ACK
+  sim_.cancel(pending->timer);
+  const Packet& orig = pending->packet;
 
   if (ack.op == WireOp::kNak) {
     Wc wc;
@@ -331,7 +331,7 @@ void Rnic::complete_send_wr(Qp& qp, std::uint64_t seq, const Packet& ack) {
     wc.op = orig.op;
     wc.qpn = qp.qpn;
     qp.send_cq->push(wc);
-    qp.unacked.erase(it);
+    qp.unacked.erase(seq);
     return;
   }
 
@@ -358,7 +358,7 @@ void Rnic::complete_send_wr(Qp& qp, std::uint64_t seq, const Packet& ack) {
     wc.byte_len = orig.length;
     qp.send_cq->push(wc);
   }
-  qp.unacked.erase(it);
+  qp.unacked.erase(seq);
 }
 
 // ----------------------------------------------------------- RX pipeline
@@ -460,7 +460,7 @@ void Rnic::process_admitted(Packet p) {
         return;
       }
     } else if (p.seq > qp->expected_seq) {
-      if (qp->ooo.count(p.seq) != 0) {
+      if (qp->ooo.contains(p.seq)) {
         // A go-back-N replay of a packet already parked out-of-order:
         // discard the copy and free its buffer (parking it twice would
         // leak the SRAM the duplicate admitted with).
@@ -470,7 +470,8 @@ void Rnic::process_admitted(Packet p) {
       // Arrived ahead of a predecessor (network jitter): hold it so RC
       // in-order semantics are preserved — a flush must never overtake
       // the write it covers. SRAM stays occupied while parked.
-      qp->ooo.emplace(p.seq, std::move(p));
+      const std::uint64_t seq = p.seq;
+      qp->ooo[seq] = std::move(p);
       return;
     } else {
       qp->expected_seq = p.seq + 1;
@@ -498,9 +499,9 @@ void Rnic::process_admitted(Packet p) {
     }
 
     // Release any successors that were parked behind this packet.
-    if (const auto next = qp->ooo.find(qp->expected_seq); next != qp->ooo.end()) {
-      Packet successor = std::move(next->second);
-      qp->ooo.erase(next);
+    if (Packet* const next = qp->ooo.find(qp->expected_seq)) {
+      Packet successor = std::move(*next);
+      qp->ooo.erase(qp->expected_seq);
       const std::uint64_t epoch = epoch_;
       sim_.schedule(0, [this, epoch, successor = std::move(successor)]() mutable {
         if (epoch != epoch_ || !alive_) return;
@@ -607,22 +608,22 @@ void Rnic::deliver_send(Qp& qp, Packet p) {
   qp.last_send_addr = wqe.addr;
   qp.last_send_len = len;
 
+  // The completion is built up front and captured instead of the
+  // packet, so the callback fits DmaCallback's inline budget.
+  Wc wc;
+  wc.wr_id = wqe.wr_id;
+  wc.op = p.op;
+  wc.qpn = qp.qpn;
+  wc.byte_len = len;
+  wc.imm = p.imm;
+  wc.has_imm = p.has_imm;
+  wc.local_addr = wqe.addr;
   const std::uint64_t sram_bytes = p.wire_bytes();
-  const std::uint32_t qpn = qp.qpn;
-  const Packet meta = p;  // metadata for the completion
   enqueue_dma_write(wqe.addr, p.payload, len, params_.ddio,
-                    [this, sram_bytes, qpn, wqe, len, meta](SimTime) {
+                    [this, sram_bytes, wc](SimTime) {
                       release_sram(sram_bytes);
-                      Qp* q = find_qp(qpn);
+                      Qp* q = find_qp(wc.qpn);
                       if (q == nullptr) return;
-                      Wc wc;
-                      wc.wr_id = wqe.wr_id;
-                      wc.op = meta.op;
-                      wc.qpn = qpn;
-                      wc.byte_len = len;
-                      wc.imm = meta.imm;
-                      wc.has_imm = meta.has_imm;
-                      wc.local_addr = wqe.addr;
                       q->recv_cq->push(wc);
                     });
 }
@@ -918,7 +919,9 @@ void Rnic::crash() {
 
   // Everything volatile on the NIC is gone.
   bytes_lost_ += sram_used_;
-  for (const Packet& p : backlog_) bytes_lost_ += p.wire_bytes();
+  for (std::size_t i = 0; i < backlog_.size(); ++i) {
+    bytes_lost_ += backlog_[i].wire_bytes();
+  }
   sram_used_ = 0;
   backlog_.clear();
 
@@ -946,14 +949,14 @@ void Rnic::crash() {
     qp->rnr_queue.clear();
     qp->ooo.clear();
     // Flush outstanding sender WRs with an error completion.
-    for (auto& [seq, wr] : qp->unacked) {
+    qp->unacked.for_each([&qp](std::uint64_t, const Qp::PendingWr& wr) {
       Wc wc;
       wc.wr_id = wr.packet.wr_id;
       wc.status = WcStatus::kFlushed;
       wc.op = wr.packet.op;
       wc.qpn = qp->qpn;
       qp->send_cq->push(wc);
-    }
+    });
     clear_unacked(*qp);
   }
 }

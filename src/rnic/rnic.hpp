@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -15,6 +14,7 @@
 #include "rnic/mr.hpp"
 #include "rnic/params.hpp"
 #include "rnic/qp.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "trace/tracer.hpp"
@@ -259,7 +259,7 @@ class Rnic {
   std::vector<std::unique_ptr<Qp>> qps_;
 
   std::uint64_t sram_used_ = 0;
-  std::deque<net::Packet> backlog_;
+  sim::RingQueue<net::Packet> backlog_;
 
   sim::SimTime tx_busy_until_ = 0;
   sim::SimTime dma_busy_until_ = 0;

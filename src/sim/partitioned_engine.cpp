@@ -105,8 +105,9 @@ void pack_lpt(const std::vector<std::uint64_t>& weight, std::size_t bins,
 const void* current_engine_shard() noexcept { return t_current_shard; }
 
 namespace detail {
-void set_current_engine_shard(const void* shard) noexcept {
+void set_current_engine_shard(Simulator* shard) noexcept {
   t_current_shard = shard;
+  t_running_frames = shard != nullptr ? &shard->frames() : nullptr;
 }
 }  // namespace detail
 
@@ -164,6 +165,16 @@ PartitionedEngine::PartitionedEngine(std::size_t node_count, EngineConfig cfg)
   staged_.resize(partitions);
   hooks_.resize(partitions);
   horizons_.assign(partitions, 0);
+}
+
+PartitionedEngine::~PartitionedEngine() { destroy_parked_roots(); }
+
+std::size_t PartitionedEngine::destroy_parked_roots() {
+  // Runs outside any shard, so every frame freed here goes straight
+  // back to its owner's free list.
+  std::size_t destroyed = 0;
+  for (auto& s : shards_) destroyed += s->destroy_parked_roots();
+  return destroyed;
 }
 
 void PartitionedEngine::set_epoch_hook(std::size_t partition,
@@ -244,6 +255,9 @@ void PartitionedEngine::run() {
     return;
   }
   run_partitioned();
+  // Frames freed on a foreign worker in the last epoch are parked
+  // until their owner drains them; no worker runs now.
+  for (auto& s : shards_) s->frames().arena.drain_remote_frees();
 }
 
 void PartitionedEngine::run_partitioned() {
@@ -445,6 +459,7 @@ void PartitionedEngine::run_partitioned() {
       for (const std::size_t p : owned[w]) {
         detail::set_current_engine_shard(shards_[p].get());
         try {
+          shards_[p]->frames().arena.drain_remote_frees();
           merge_outboxes_into(p);
           if (hooks_[p]) hooks_[p]();
         } catch (...) {

@@ -72,7 +72,9 @@ struct EngineConfig {
 [[nodiscard]] const void* current_engine_shard() noexcept;
 
 namespace detail {
-void set_current_engine_shard(const void* shard) noexcept;
+/// Sets the shard token and the thread's running shard (its frame
+/// arena and root registry) together; nullptr clears both.
+void set_current_engine_shard(Simulator* shard) noexcept;
 }
 
 /// Conservative-lookahead parallel discrete-event engine (DESIGN.md
@@ -109,6 +111,9 @@ void set_current_engine_shard(const void* shard) noexcept;
 class PartitionedEngine {
  public:
   PartitionedEngine(std::size_t node_count, EngineConfig cfg);
+  /// Destroys every shard's parked roots before any shard goes away: a
+  /// root on one shard may own frames carved from another's arena.
+  ~PartitionedEngine();
   PartitionedEngine(const PartitionedEngine&) = delete;
   PartitionedEngine& operator=(const PartitionedEngine&) = delete;
 
@@ -150,6 +155,10 @@ class PartitionedEngine {
   /// horizon — a lookahead violation would break conservative order.
   void schedule_remote(std::size_t src, std::size_t dst, SimTime t,
                        InlineTask fn);
+
+  /// Destroys the detached roots still parked on every shard
+  /// (Simulator::destroy_parked_roots). Returns how many.
+  std::size_t destroy_parked_roots();
 
   /// Runs every shard to completion. Single partition: a plain
   /// Simulator::run(). Multiple partitions: the epoch loop, using

@@ -5,6 +5,13 @@
 
 namespace prdma::sim {
 
+Simulator::Simulator() { detail::t_setup_frames = &frames_; }
+
+Simulator::~Simulator() {
+  destroy_parked_roots();
+  if (detail::t_setup_frames == &frames_) detail::t_setup_frames = nullptr;
+}
+
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t s = free_head_;
@@ -141,7 +148,7 @@ void Simulator::trigger_crash() {
   for (auto& fn : fns) fn();
 }
 
-bool Simulator::step() {
+bool Simulator::step_one() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_.front();
   // Start pulling the task's slot into cache while the sift below runs;
@@ -164,13 +171,15 @@ bool Simulator::step() {
 }
 
 void Simulator::run() {
-  while (!stopped_ && step()) {
+  const detail::RunningShardScope scope(&frames_);
+  while (!stopped_ && step_one()) {
   }
 }
 
 void Simulator::run_until(SimTime t) {
+  const detail::RunningShardScope scope(&frames_);
   while (!stopped_ && !heap_.empty() && heap_.front().time <= t) {
-    step();
+    step_one();
   }
   if (now_ < t && !stopped_) now_ = t;
 }

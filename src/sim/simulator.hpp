@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/frame_arena.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
@@ -56,7 +57,11 @@ struct EventKey {
 /// and run_until() only ever see live events.
 class Simulator {
  public:
-  Simulator() = default;
+  /// Becomes the thread's setup shard: roots spawned before any run
+  /// register with it (ShardFrames, DESIGN.md §7.3).
+  Simulator();
+  /// Destroys the roots still parked, then everything else.
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -124,7 +129,12 @@ class Simulator {
   void cancel(EventHandle h);
 
   /// Executes the next pending event, if any. Returns false when idle.
-  bool step();
+  /// step(), run() and run_until() make this the thread's running
+  /// shard, so frames created by the events come from its arena.
+  bool step() {
+    const detail::RunningShardScope scope(&frames_);
+    return step_one();
+  }
 
   /// Runs until the event queue drains or stop() is called.
   void run();
@@ -201,6 +211,15 @@ class Simulator {
   /// concurrently pending live events, plus the one executing).
   [[nodiscard]] std::size_t slab_slots() const { return slab_size_; }
 
+  /// This shard's coroutine frame arena and detached-root registry.
+  [[nodiscard]] ShardFrames& frames() { return frames_; }
+
+  /// Destroys every detached root still parked on this shard, and the
+  /// Task chains they own. Owners call it at teardown, while the
+  /// objects those frames reference are still alive; the destructor
+  /// calls it again as a fallback. Returns how many were destroyed.
+  std::size_t destroy_parked_roots() { return frames_.roots.destroy_all(); }
+
  private:
   static constexpr std::uint32_t kNoSlot = EventHandle::kNoSlot;
   static constexpr std::uint64_t kNoSeq = EventHandle::kNoSeq;
@@ -235,6 +254,7 @@ class Simulator {
     }
   };
 
+  bool step_one();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// Links an occupied slot into the queue at time `t` (clamped to now()).
@@ -261,6 +281,9 @@ class Simulator {
     std::function<void()> fn;
   };
 
+  /// First member, so destroyed last: events in the slab below may
+  /// own Tasks whose frames live in this arena.
+  ShardFrames frames_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

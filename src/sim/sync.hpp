@@ -2,11 +2,11 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
@@ -206,7 +206,7 @@ class Channel {
 
   Simulator& sim_;
   bool closed_ = false;
-  std::deque<T> queue_;
+  RingQueue<T> queue_;
   detail::IntrusiveFifo<RecvAwaiter> waiters_;
 };
 

@@ -4,6 +4,7 @@
 #include <exception>
 #include <utility>
 
+#include "sim/frame_arena.hpp"
 #include "sim/simulator.hpp"
 
 namespace prdma::sim {
@@ -17,12 +18,16 @@ namespace prdma::sim {
 ///
 /// Tasks are single-owner move-only handles: the handle owns the frame
 /// and destroys it when the Task goes out of scope after completion.
+/// Frames live in the running shard's FrameArena (sim/frame_arena.hpp).
 template <typename T>
 class Task;
 
 namespace detail {
 
 struct PromiseBase {
+  static void* operator new(std::size_t n) { return allocate_frame(n); }
+  static void operator delete(void* p) noexcept { free_frame(p); }
+
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
 
@@ -159,9 +164,27 @@ class [[nodiscard]] Task<void> {
 
 namespace detail {
 
-/// Self-destroying top-level coroutine used to run detached tasks.
+/// Self-destroying top-level coroutine used to run detached tasks. It
+/// links itself into the spawning shard's RootRegistry while it lives,
+/// so a root still parked when the simulation ends is destroyed at
+/// teardown instead of leaking.
 struct Detached {
-  struct promise_type {
+  struct promise_type : RootRegistry::Node {
+    static void* operator new(std::size_t n) { return allocate_frame(n); }
+    static void operator delete(void* p) noexcept { free_frame(p); }
+
+    promise_type() {
+      if (RootRegistry* r = spawn_registry()) {
+        frame = std::coroutine_handle<promise_type>::from_promise(*this);
+        r->link(*this);
+      }
+    }
+    ~promise_type() {
+      if (owner != nullptr) owner->unlink(*this);
+    }
+    promise_type(const promise_type&) = delete;
+    promise_type& operator=(const promise_type&) = delete;
+
     Detached get_return_object() const noexcept { return {}; }
     std::suspend_never initial_suspend() const noexcept { return {}; }
     std::suspend_never final_suspend() const noexcept { return {}; }

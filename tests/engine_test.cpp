@@ -99,8 +99,10 @@ TEST(Engine, CrossPartitionChannelsStayFifoUnderConcurrentSenders) {
   PartitionedEngine eng(4, per_node(4));
   eng.set_lookahead(kLookahead);
   std::array<std::vector<int>, 4> got;
+  std::vector<std::shared_ptr<std::function<void(int)>>> steps;
   for (std::size_t src = 1; src < 4; ++src) {
     auto step = std::make_shared<std::function<void(int)>>();
+    steps.push_back(step);
     *step = [&eng, &got, src, step](int i) {
       sim::Simulator& s = eng.shard(src);
       // now + lookahead is always at/above the epoch horizon: legal.
@@ -113,6 +115,8 @@ TEST(Engine, CrossPartitionChannelsStayFifoUnderConcurrentSenders) {
     eng.shard(src).schedule_at(1 + src, [step] { (*step)(0); });
   }
   eng.run();
+  // Each step captures its own shared_ptr: break the cycles.
+  for (auto& step : steps) *step = nullptr;
   for (std::size_t src = 1; src < 4; ++src) {
     ASSERT_EQ(got[src].size(), static_cast<std::size_t>(kSteps)) << src;
     for (int i = 0; i < kSteps; ++i) EXPECT_EQ(got[src][i], i) << src;

@@ -2,7 +2,9 @@
 // §7.3): once warm, the LLC's dirty extents, its bytes side table and
 // the shadow content plane recycle their nodes, so the payload
 // write -> flush -> read cycle performs no heap allocation at all.
-// The same holds for host software charges (DESIGN.md §7.1).
+// The same holds for host software charges (DESIGN.md §7.1), for
+// coroutine frames (per-shard arenas) and, end to end, for a mirrored
+// durable write over a lossy fabric.
 // A counting global operator new makes that literally checkable; it
 // lives in its own binary so it cannot perturb other suites.
 
@@ -13,15 +15,25 @@
 #include <new>
 #include <vector>
 
+#include "bench_util/micro.hpp"
+#include "core/node.hpp"
 #include "host/host.hpp"
 #include "mem/llc.hpp"
 #include "mem/node_memory.hpp"
+#include "repl/replication.hpp"
+#include "rpcs/registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -30,10 +42,10 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace prdma::mem {
 namespace {
@@ -213,6 +225,99 @@ TEST(MemAlloc, HostExecCycleIsAllocationFree) {
     EXPECT_GT(loops - warm_loops, tasks * 800u) << "measured window too short";
     EXPECT_EQ(loops, tasks * 1000u);
   }
+}
+
+
+TEST(MemAlloc, FrameArenaReturnsEveryChunkAtTeardown) {
+  // Frames of several classes, a parked root and a frame larger than
+  // any class: once the simulator is gone, every allocation it made
+  // (arena chunks included) has been freed.
+  const std::uint64_t live0 = g_allocs.load() - g_frees.load();
+  std::uint64_t chunks = 0;
+  {
+    sim::Simulator sim;
+    sim::Event never(sim);
+    int sum = 0;
+    sim::spawn([](sim::Simulator& s, sim::Event& ev, int& out) -> sim::Task<> {
+      const auto small = [](sim::Simulator& s2) -> sim::Task<int> {
+        co_await sim::delay(s2, 3);
+        co_return 1;
+      };
+      const auto big = [](sim::Simulator& s2) -> sim::Task<int> {
+        char pad[1500] = {};
+        co_await sim::delay(s2, 3);
+        co_return pad[0] + 2;
+      };
+      for (int i = 0; i < 200; ++i) out += co_await small(s) + co_await big(s);
+      (void)co_await ev.wait();  // parked when the run ends
+    }(sim, never, sum));
+    sim.run();
+    EXPECT_EQ(sum, 600);
+    chunks = sim.frames().arena.chunk_count();
+  }
+  EXPECT_GT(chunks, 0u);
+  EXPECT_EQ(g_allocs.load() - g_frees.load(), live0);
+}
+
+TEST(MemAlloc, WarmMirroredDurableWriteOverALossyFabricIsAllocationFree) {
+  // The whole op path: a WFlush-RPC client mirrors every write to two
+  // replicas over cables that drop 1 % of packets (go-back-N replays,
+  // duplicate suppression, out-of-order parking). Frames come from the
+  // shard's arena, the RC windows are rings, completions and the
+  // replication ledger are flat, so once every structure has reached
+  // its high-water mark an op allocates nothing. The one exception is
+  // by design: the ledger keeps every transaction, in chunks that
+  // double (two allocations each), so it is counted out explicitly.
+  // Writes cycle over eight objects so that the shadow plane's extent
+  // map, which still allocates a node whenever a write lands on an
+  // extent it has not seen (ROADMAP's shadow-plane item), is warm too.
+  bench::MicroConfig cfg;
+  cfg.objects = 64;
+  cfg.object_size = 4096;
+  cfg.read_ratio = 0.0;
+  cfg.clients = 1;
+  cfg.loss_probability = 1e-2;
+  cfg.retransmit_interval = 200 * sim::kMicrosecond;
+  cfg.replication.protocol = repl::Protocol::kMirror;
+  cfg.replication.replicas = 2;
+  const core::ModelParams params = bench::params_for(cfg);
+  core::Cluster cluster(params, 3);
+  const std::vector<std::size_t> client_nodes{2};
+  core::RpcDeployment dep = rpcs::make_deployment(
+      cluster, rpcs::System::kWFlushRpc, cfg.replication, client_nodes,
+      params);
+
+  constexpr int kWarm = 10000;
+  constexpr int kMeasured = 4000;
+  auto& client = dynamic_cast<repl::ReplicatedClient&>(*dep.clients[0]);
+  std::uint64_t at_warm = 0;
+  std::uint64_t at_end = 0;
+  std::size_t chunks_at_warm = 0;
+  int ok = 0;
+  sim::spawn([](repl::ReplicatedClient& c, std::uint64_t& warm,
+                std::uint64_t& end, std::size_t& chunks,
+                int& done) -> sim::Task<> {
+    for (int i = 0; i < kWarm + kMeasured; ++i) {
+      if (i == kWarm) {
+        warm = g_allocs.load();
+        chunks = c.txns().chunk_count();
+      }
+      core::RpcRequest req;
+      req.op = core::RpcOp::kWrite;
+      req.obj_id = static_cast<std::uint64_t>(i) % 8;
+      req.len = 4096;
+      const core::RpcResult r = co_await c.call(req);
+      if (r.ok) ++done;
+    }
+    end = g_allocs.load();
+  }(client, at_warm, at_end, chunks_at_warm, ok));
+  cluster.run();
+  EXPECT_EQ(ok, kWarm + kMeasured);
+  EXPECT_GT(cluster.fabric().packets_dropped(), 0u) << "the loss must bite";
+  const std::uint64_t ledger_allocs =
+      2 * (client.txns().chunk_count() - chunks_at_warm);
+  EXPECT_EQ(at_end - at_warm, ledger_allocs)
+      << "a warm mirrored durable write allocated";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "net/faults.hpp"
 #include "repl/replication.hpp"
 #include "rpcs/registry.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/task.hpp"
 
 namespace prdma::repl {
@@ -406,6 +407,24 @@ TEST(DegradedFabric, BothProtocolsCompleteEveryOpUnderLoss) {
       }
     }
   }
+}
+
+TEST(DegradedFabric, LossyMirroredSFlushCellKeepsEveryCallbackInline) {
+  // A lossy mirrored SFlush-RPC cell runs sends into posted receive
+  // buffers, SFlushes and go-back-N replays on every hop. The RNIC's
+  // send-delivery DMA callback captures only the finished completion,
+  // so no event or DMA callback of the cell falls back to the heap.
+  bench::MicroConfig mc = repl_config(Protocol::kMirror, 2);
+  mc.ops = 400;
+  mc.read_ratio = 0.0;
+  mc.loss_probability = 1e-2;
+  mc.retransmit_interval = 500 * sim::kMicrosecond;
+  (void)bench::run_micro(rpcs::System::kSFlushRpc, mc);  // warm-up
+  const std::uint64_t before = sim::inline_fn_heap_allocs();
+  const auto r = bench::run_micro(rpcs::System::kSFlushRpc, mc);
+  EXPECT_EQ(sim::inline_fn_heap_allocs(), before);
+  EXPECT_EQ(r.ops_completed, mc.ops);
+  EXPECT_GT(r.rnic_retransmits, 0u) << "the loss must bite";
 }
 
 TEST(DegradedFabric, LossyReplicatedStatsAreIdenticalAcrossThreadCounts) {

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <map>
 #include <optional>
+#include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "mem/node_memory.hpp"
@@ -15,6 +20,7 @@
 #include "rdma/completer.hpp"
 #include "rdma/session.hpp"
 #include "rnic/rnic.hpp"
+#include "rnic/seq_window.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -1207,6 +1213,288 @@ TEST(MemoryRegions, RangeMustBeFullyInsideOneRegion) {
   rig.sim.run();
   ASSERT_TRUE(wc.has_value());
   EXPECT_EQ(wc->status, WcStatus::kRemoteAccessError);
+}
+
+
+// ------------------------------------------------------- QP window rings
+//
+// The unacked send window and the out-of-order receive buffer are
+// seq-indexed rings (rnic::SeqWindow). SeqWindowDifferential drives a
+// ring and a std::map through the same scripted operations; the
+// QpWindowDifferential scenarios replay reorder, duplicates, loss,
+// NAK, retry exhaustion and crashes through two RNICs and compare
+// every work completion (order, status, time) and the pending-event
+// count at each one against the trace the std::map windows produced.
+
+/// Checks the ring against the map: size, lowest key, every lookup in
+/// [lo - 2, hi + 2) and the ascending iteration order.
+void expect_same(rnic::SeqWindow<int>& ring, const std::map<std::uint64_t, int>& ref,
+                 const std::string& where) {
+  ASSERT_EQ(ring.size(), ref.size()) << where;
+  ASSERT_EQ(ring.empty(), ref.empty()) << where;
+  if (ref.empty()) return;
+  ASSERT_EQ(ring.front_seq(), ref.begin()->first) << where;
+  const std::uint64_t lo = ref.begin()->first;
+  const std::uint64_t hi = ref.rbegin()->first + 1;
+  for (std::uint64_t s = lo >= 2 ? lo - 2 : 0; s < hi + 2; ++s) {
+    const auto it = ref.find(s);
+    const int* got = ring.find(s);
+    ASSERT_EQ(got != nullptr, it != ref.end()) << where << " seq " << s;
+    if (got != nullptr) {
+      ASSERT_EQ(*got, it->second) << where << " seq " << s;
+    }
+  }
+  std::vector<std::pair<std::uint64_t, int>> order;
+  ring.for_each([&order](std::uint64_t s, int v) { order.emplace_back(s, v); });
+  ASSERT_EQ(order, (std::vector<std::pair<std::uint64_t, int>>(ref.begin(),
+                                                               ref.end())))
+      << where;
+}
+
+TEST(SeqWindowDifferential, UnackedWindowPattern) {
+  // Sends append at the next seq; ACKs erase anywhere (in order, out of
+  // order, duplicated), NAKs erase one, retry exhaustion and crashes
+  // clear the lot, and sequence numbers keep rising across clears.
+  std::mt19937_64 gen(42);
+  rnic::SeqWindow<int> ring;
+  std::map<std::uint64_t, int> ref;
+  std::uint64_t next_seq = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const int op = static_cast<int>(gen() % 100);
+    if (op < 45) {
+      const int v = static_cast<int>(gen() % 1000);
+      ring[next_seq] = v;
+      ref[next_seq] = v;
+      ++next_seq;
+    } else if (op < 70 && !ref.empty()) {
+      const std::uint64_t s = ref.begin()->first;  // in-order ACK
+      ring.erase(s);
+      ref.erase(s);
+    } else if (op < 97) {
+      // Out-of-order, duplicate or stale ACK anywhere near the window.
+      const std::uint64_t span = next_seq + 4;
+      const std::uint64_t s = gen() % span;
+      ring.erase(s);
+      ref.erase(s);
+    } else {
+      ring.clear();
+      ref.clear();
+    }
+    expect_same(ring, ref, "step " + std::to_string(step));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_LE(ring.capacity(), 256u) << "capacity follows the widest span";
+}
+
+TEST(SeqWindowDifferential, OutOfOrderBufferPattern) {
+  // Early packets park at any seq above the expected one, replays of a
+  // parked seq are looked up before parking, and each in-order arrival
+  // releases the successor at the new expected seq.
+  std::mt19937_64 gen(7);
+  rnic::SeqWindow<int> ring;
+  std::map<std::uint64_t, int> ref;
+  std::uint64_t expected = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const int op = static_cast<int>(gen() % 100);
+    if (op < 50) {
+      const std::uint64_t s = expected + 1 + gen() % 40;
+      EXPECT_EQ(ring.contains(s), ref.count(s) != 0);
+      if (ref.count(s) == 0) {
+        ring[s] = static_cast<int>(s);
+        ref.emplace(s, static_cast<int>(s));
+      }
+    } else if (op < 98) {
+      ++expected;
+      if (int* v = ring.find(expected)) {
+        EXPECT_EQ(*v, ref.at(expected));
+        ring.erase(expected);
+        ref.erase(expected);
+      }
+    } else {
+      ring.clear();
+      ref.clear();
+      expected += 100;
+    }
+    expect_same(ring, ref, "step " + std::to_string(step));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SeqWindowDifferential, GrowthKeepsEveryEntryAtItsSeq) {
+  rnic::SeqWindow<int> ring;
+  std::map<std::uint64_t, int> ref;
+  EXPECT_EQ(ring.capacity(), 0u) << "no storage until the first entry";
+  // Insert below and above the current range to force both-sided growth.
+  for (std::uint64_t s : {1000u, 1003u, 998u, 1020u, 990u, 1100u, 1001u}) {
+    ring[s] = static_cast<int>(s);
+    ref[s] = static_cast<int>(s);
+    expect_same(ring, ref, "insert " + std::to_string(s));
+  }
+  EXPECT_GE(ring.capacity(), 111u);
+  for (std::uint64_t s : {990u, 1100u, 1003u}) {
+    ring.erase(s);
+    ref.erase(s);
+    expect_same(ring, ref, "erase " + std::to_string(s));
+  }
+}
+
+/// One scripted two-RNIC exchange; returns its completion trace.
+struct WindowScenario {
+  const char* name = "";
+  rnic::RnicParams rp;
+  net::LinkParams lp;
+  int writes = 12;           ///< pipelined write + WFlush pairs
+  int sends = 0;             ///< send + SFlush pairs (posted recvs)
+  bool bad_rkey_every_4th = false;
+  bool dead_peer = false;
+  SimTime crash_client_at = 0;   ///< 0: never
+  SimTime crash_server_at = 0;   ///< 0: never
+};
+
+std::string run_window_scenario(const WindowScenario& sc) {
+  Rig rig(sc.rp, sc.lp);
+  if (sc.rp.enforce_mr) {
+    rig.snic.register_mr(0, 1 << 20, rnic::kAccessAll);
+  }
+  if (sc.dead_peer) rig.snic.crash();
+  rig.cmem.cpu_write(mem::NodeMemory::kDramBase, pattern(512, 3));
+  if (sc.crash_client_at != 0) {
+    rig.sim.schedule_at(sc.crash_client_at, [&rig] { rig.cnic.crash(); });
+  }
+  if (sc.crash_server_at != 0) {
+    rig.sim.schedule_at(sc.crash_server_at, [&rig] { rig.snic.crash(); });
+  }
+  std::ostringstream trace;
+  std::uint64_t wr = 1;
+  for (int i = 0; i < sc.sends; ++i) {
+    rig.snic.post_recv(*rig.sqp, (static_cast<std::uint64_t>(i) % 8) * 1024,
+                       1024, 900 + static_cast<std::uint64_t>(i));
+  }
+  // Everything is posted up front, so the windows hold many WRs at once.
+  for (int i = 0; i < sc.writes; ++i) {
+    const std::uint64_t remote =
+        sc.bad_rkey_every_4th && i % 4 == 3 ? (2ull << 20) : i * 1024ull;
+    rig.cnic.post_write(*rig.cqp, mem::NodeMemory::kDramBase, 512, remote, wr++);
+    rig.cnic.post_wflush(*rig.cqp, remote, 512, wr++);
+  }
+  for (int i = 0; i < sc.sends; ++i) {
+    rig.cnic.post_send(*rig.cqp, mem::NodeMemory::kDramBase, 256, wr++);
+    rig.cnic.post_sflush(*rig.cqp, 0x40000 + i * 512ull, 256, wr++);
+  }
+  const std::uint64_t expected = wr - 1;
+  sim::spawn([](Rig& r, std::ostringstream& out, std::uint64_t n) -> Task<> {
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const auto wc = co_await r.c_scq.channel().recv();
+      if (!wc.has_value()) {
+        out << "cq-reset@" << r.sim.now() << "\n";
+        co_return;
+      }
+      out << r.sim.now() << " wr=" << wc->wr_id << " st="
+          << static_cast<int>(wc->status) << " op=" << static_cast<int>(wc->op)
+          << " pend=" << r.sim.pending() << "\n";
+    }
+  }(rig, trace, expected));
+  sim::spawn([](Rig& r, std::ostringstream& out, int n) -> Task<> {
+    for (int k = 0; k < n; ++k) {
+      const auto wc = co_await r.s_rcq.channel().recv();
+      if (!wc.has_value()) co_return;
+      out << r.sim.now() << " recv wr=" << wc->wr_id
+          << " len=" << wc->byte_len << "\n";
+    }
+  }(rig, trace, sc.sends));
+  rig.sim.run();
+  trace << "end=" << rig.sim.now() << " pend=" << rig.sim.pending()
+        << " retx=" << rig.cnic.retransmits()
+        << " rx=" << rig.snic.packets_received() << "/"
+        << rig.cnic.packets_received()
+        << " drops=" << rig.fab.packets_dropped()
+        << " sram=" << rig.snic.sram_used() << "/" << rig.cnic.sram_used()
+        << " viol=" << rig.snic.access_violations() << "\n";
+  return trace.str();
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::vector<WindowScenario> window_scenarios() {
+  std::vector<WindowScenario> out;
+  WindowScenario reorder;
+  reorder.name = "reorder";
+  reorder.lp.jitter_sigma = 0.8;
+  out.push_back(reorder);
+  WindowScenario dups;
+  dups.name = "loss+duplicates";
+  dups.rp.retransmit_interval = 150_us;
+  dups.lp.loss_probability = 0.2;
+  dups.lp.jitter_sigma = 0.6;
+  dups.writes = 30;
+  out.push_back(dups);
+  WindowScenario loss;
+  loss.name = "loss";
+  loss.rp.retransmit_interval = 100_us;
+  loss.lp.loss_probability = 0.15;
+  loss.writes = 20;
+  loss.sends = 6;
+  out.push_back(loss);
+  WindowScenario nak;
+  nak.name = "nak";
+  nak.rp.enforce_mr = true;
+  nak.lp.jitter_sigma = 0.5;
+  nak.bad_rkey_every_4th = true;
+  out.push_back(nak);
+  WindowScenario fail;
+  fail.name = "fail_qp";
+  fail.rp.retransmit_interval = 50_us;
+  fail.rp.max_retransmits = 3;
+  fail.dead_peer = true;
+  fail.writes = 5;
+  out.push_back(fail);
+  WindowScenario crash;
+  crash.name = "crash";
+  crash.rp.retransmit_interval = 80_us;
+  crash.lp.loss_probability = 0.2;
+  crash.lp.jitter_sigma = 0.6;
+  crash.writes = 16;
+  crash.crash_client_at = 5_us;
+  out.push_back(crash);
+  WindowScenario server_crash;
+  server_crash.name = "server-crash";
+  server_crash.rp.retransmit_interval = 60_us;
+  server_crash.rp.max_retransmits = 2;
+  server_crash.lp.jitter_sigma = 0.8;
+  server_crash.writes = 16;
+  server_crash.crash_server_at = 4_us;
+  out.push_back(server_crash);
+  return out;
+}
+
+TEST(QpWindowDifferential, CompletionsMatchTheMapWindows) {
+  // (scenario, completions, FNV-1a of the full trace) as recorded with
+  // the std::map windows on the same seeds.
+  const std::map<std::string, std::pair<std::size_t, std::uint64_t>> golden = {
+      {"reorder", {25, 483084050775373193ull}},
+      {"loss+duplicates", {61, 7072958733981847663ull}},
+      {"loss", {59, 5046622966994897085ull}},
+      {"nak", {25, 2083120374994384636ull}},
+      {"fail_qp", {11, 14810252006703192622ull}},
+      {"crash", {33, 15750431825417878136ull}},
+      {"server-crash", {33, 10522199720791722351ull}},
+  };
+  for (const WindowScenario& sc : window_scenarios()) {
+    const std::string trace = run_window_scenario(sc);
+    const std::size_t lines =
+        static_cast<std::size_t>(std::count(trace.begin(), trace.end(), '\n'));
+    const auto it = golden.find(sc.name);
+    ASSERT_NE(it, golden.end()) << sc.name;
+    EXPECT_EQ(lines, it->second.first) << sc.name << "\n" << trace;
+    EXPECT_EQ(fnv1a(trace), it->second.second) << sc.name << "\n" << trace;
+  }
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cmath>
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "sim/inline_function.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
@@ -1316,6 +1319,214 @@ TEST(ThreadPool, ParallelForRunsEveryCellDespiteAnException) {
                                  }),
                std::runtime_error);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// -------------------------------------------------------------- FrameArena
+
+TEST(FrameArena, SizeClassesAre64ByteBlocksUpTo1KiB) {
+  // The class covers the frame plus the 16-byte owner header.
+  EXPECT_EQ(FrameArena::class_of(1), 0u);
+  EXPECT_EQ(FrameArena::class_of(48), 0u);
+  EXPECT_EQ(FrameArena::class_of(49), 1u);
+  EXPECT_EQ(FrameArena::class_of(112), 1u);
+  EXPECT_EQ(FrameArena::class_of(1008), FrameArena::kClasses - 1);
+  EXPECT_EQ(FrameArena::class_of(1009), FrameArena::kClasses);
+}
+
+TEST(FrameArena, FreedBlocksAreReusedBeforeAnyNewChunk) {
+  ShardFrames shard;
+  const detail::RunningShardScope scope(&shard);
+  void* a = detail::allocate_frame(100);
+  void* b = detail::allocate_frame(100);
+  EXPECT_EQ(FrameArena::owner_of(a), &shard.arena);
+  EXPECT_EQ(shard.arena.blocks_in_use(), 2u);
+  EXPECT_EQ(shard.arena.chunk_count(), 1u);
+  EXPECT_EQ(shard.arena.chunk_bytes(), FrameArena::kFirstChunkBytes);
+  detail::free_frame(a);
+  EXPECT_EQ(detail::allocate_frame(90), a) << "same class, recycled block";
+  detail::free_frame(a);
+  detail::free_frame(b);
+  EXPECT_EQ(shard.arena.blocks_in_use(), 0u);
+  EXPECT_EQ(shard.arena.chunk_count(), 1u);
+}
+
+TEST(FrameArena, ChunksStartSmallAndDoubleUpToTheCap) {
+  ShardFrames shard;
+  const detail::RunningShardScope scope(&shard);
+  // 64-byte class: 64 blocks per first chunk.
+  std::vector<void*> frames;
+  std::uint64_t expected = 0;
+  std::size_t chunk = FrameArena::kFirstChunkBytes;
+  for (int c = 0; c < 7; ++c) {
+    for (std::size_t i = 0; i < chunk / FrameArena::kClassBytes; ++i) {
+      frames.push_back(detail::allocate_frame(40));
+    }
+    expected += chunk;
+    EXPECT_EQ(shard.arena.chunk_bytes(), expected) << "chunk " << c;
+    chunk = std::min(2 * chunk, FrameArena::kMaxChunkBytes);
+  }
+  EXPECT_EQ(shard.arena.chunk_count(), 7u);
+  for (void* f : frames) detail::free_frame(f);
+  EXPECT_EQ(shard.arena.blocks_in_use(), 0u);
+}
+
+TEST(FrameArena, LargeFramesAndFramesOutsideARunUseTheGlobalHeap) {
+  ShardFrames shard;
+  void* setup = detail::allocate_frame(100);  // no running shard
+  EXPECT_EQ(FrameArena::owner_of(setup), nullptr);
+  {
+    const detail::RunningShardScope scope(&shard);
+    void* big = detail::allocate_frame(FrameArena::kMaxBlockBytes);
+    EXPECT_EQ(FrameArena::owner_of(big), nullptr);
+    detail::free_frame(big);
+    detail::free_frame(setup);  // a global frame freed inside a run
+  }
+  EXPECT_EQ(shard.arena.chunk_count(), 0u);
+  EXPECT_EQ(shard.arena.blocks_in_use(), 0u);
+}
+
+TEST(FrameArena, CoroutineFramesComeFromTheRunningSimulator) {
+  Simulator sim;
+  int done = 0;
+  spawn([](Simulator& s, int& d) -> Task<> {
+    const auto leaf = [](Simulator& s2) -> Task<int> {
+      co_await delay(s2, 5);
+      co_return 1;
+    };
+    for (int i = 0; i < 50; ++i) d += co_await leaf(s);
+  }(sim, done));
+  sim.run();
+  EXPECT_EQ(done, 50);
+  EXPECT_EQ(sim.frames().arena.chunk_count(), 1u)
+      << "one leaf frame at a time: one chunk of its class";
+  EXPECT_EQ(sim.frames().arena.blocks_in_use(), 0u);
+  EXPECT_EQ(sim.frames().roots.size(), 0u) << "the root completed";
+}
+
+TEST(FrameArenaCrossShard, FreeOnAForeignWorkerIsParkedThenDrained) {
+  // A frame created on shard A and freed while shard B runs on another
+  // thread must not touch A's free lists: it is parked, and A applies
+  // it at its next drain (the epoch barrier in a partitioned run).
+  ShardFrames a;
+  ShardFrames b;
+  std::vector<void*> frames;
+  {
+    const detail::RunningShardScope scope(&a);
+    for (int i = 0; i < 40; ++i) frames.push_back(detail::allocate_frame(200));
+  }
+  const std::size_t chunks = a.arena.chunk_count();
+  std::thread foreign([&] {
+    const detail::RunningShardScope scope(&b);
+    for (void* f : frames) detail::free_frame(f);
+  });
+  foreign.join();
+  EXPECT_EQ(a.arena.blocks_in_use(), 40u) << "parked, not yet returned";
+  EXPECT_EQ(a.arena.remote_frees(), 0u);
+  EXPECT_EQ(b.arena.chunk_count(), 0u);
+  a.arena.drain_remote_frees();
+  EXPECT_EQ(a.arena.remote_frees(), 40u);
+  EXPECT_EQ(a.arena.blocks_in_use(), 0u);
+  const detail::RunningShardScope scope(&a);
+  for (int i = 0; i < 40; ++i) frames[i] = detail::allocate_frame(200);
+  EXPECT_EQ(a.arena.chunk_count(), chunks) << "drained blocks are reused";
+  for (void* f : frames) detail::free_frame(f);
+}
+
+// ------------------------------------------------------------ RootRegistry
+
+struct DtorCounter {
+  int* n;
+  explicit DtorCounter(int& c) : n(&c) {}
+  DtorCounter(const DtorCounter&) = delete;
+  DtorCounter& operator=(const DtorCounter&) = delete;
+  ~DtorCounter() { ++*n; }
+};
+
+TEST(DetachedRoots, ParkedRootsAndTheirTaskChainsAreDestroyedAtTeardown) {
+  int destroyed = 0;
+  {
+    Simulator sim;
+    Event never(sim);
+    const auto child = [](Event& ev, int& d) -> Task<> {
+      const DtorCounter guard(d);
+      (void)co_await ev.wait();
+    };
+    for (int i = 0; i < 3; ++i) {
+      spawn([](Event& ev, int& d, auto make_child) -> Task<> {
+        const DtorCounter guard(d);
+        co_await make_child(ev, d);
+      }(never, destroyed, child));
+    }
+    sim.run();
+    EXPECT_EQ(sim.frames().roots.size(), 3u);
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_EQ(sim.destroy_parked_roots(), 3u);
+    EXPECT_EQ(destroyed, 6) << "every root and the child it awaited";
+    EXPECT_EQ(sim.frames().roots.size(), 0u);
+    spawn([](Event& ev, int& d) -> Task<> {
+      const DtorCounter guard(d);
+      (void)co_await ev.wait();
+    }(never, destroyed));
+  }
+  EXPECT_EQ(destroyed, 7) << "the simulator's destructor destroys the rest";
+}
+
+TEST(DetachedRoots, CompletedRootsLeaveTheRegistry) {
+  Simulator sim;
+  int ran = 0;
+  for (int i = 0; i < 4; ++i) {
+    spawn([](Simulator& s, int& r) -> Task<> {
+      co_await delay(s, 10);
+      ++r;
+    }(sim, ran));
+  }
+  EXPECT_EQ(sim.frames().roots.size(), 4u);
+  sim.run();
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(sim.frames().roots.size(), 0u);
+}
+
+// --------------------------------------------------------------- RingQueue
+
+TEST(RingQueue, BehavesLikeADequeAcrossGrowthAndWraparound) {
+  std::mt19937_64 gen(3);
+  RingQueue<std::string> ring;
+  std::deque<std::string> ref;
+  EXPECT_EQ(ring.capacity(), 0u) << "no storage before the first push";
+  for (int step = 0; step < 20000; ++step) {
+    const auto op = gen() % 100;
+    if (op < 52) {
+      std::string v(1 + gen() % 40, static_cast<char>('a' + step % 26));
+      ring.push_back(v);
+      ref.push_back(v);
+    } else if (op < 99) {
+      if (!ref.empty()) {
+        ASSERT_EQ(ring.front(), ref.front()) << "step " << step;
+        ring.pop_front();
+        ref.pop_front();
+      }
+    } else {
+      ring.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(ring.size(), ref.size()) << "step " << step;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(ring[i], ref[i]) << "step " << step << " index " << i;
+    }
+  }
+}
+
+TEST(RingQueue, SteadyPushPopKeepsItsStorage) {
+  RingQueue<int> ring;
+  for (int i = 0; i < 5; ++i) ring.push_back(i);
+  const std::size_t cap = ring.capacity();
+  EXPECT_EQ(cap, 8u);
+  for (int i = 5; i < 10000; ++i) {
+    ring.push_back(i);
+    EXPECT_EQ(ring.front(), i - 5);
+    ring.pop_front();
+  }
+  EXPECT_EQ(ring.capacity(), cap) << "a steady queue never regrows";
 }
 
 // ------------------------------------------------------------- format_time
