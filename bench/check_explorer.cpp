@@ -18,8 +18,8 @@
 //          replicated lines are "seed=S ops=N crash=R@Tns,R@Tns")
 //        --jobs=N (parallel schedules; output is identical at any N)
 //        --engine-threads=N (accepted for flag parity with the bench
-//          binaries but clamped to 1: crash hooks require the serial
-//          single-partition engine — DESIGN.md §7.5 coherence rule)
+//          binaries but clamped to 1: Node::crash() requires the
+//          serial single-partition engine — DESIGN.md §7.5 coherence rule)
 
 #include <cstdio>
 #include <string>

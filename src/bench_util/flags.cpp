@@ -8,8 +8,9 @@ const std::vector<FlagSpec>& Flags::common_flags() {
   static const std::vector<FlagSpec> common{
       {"ops", "N", "operations per cell (binary-specific default)"},
       {"seed", "N", "base RNG seed (default 1)"},
-      {"jobs", "N", "parallel sweep cells; 0 = one per hardware thread, "
-                    "absent = serial. Output is byte-identical at any N."},
+      {"jobs", "N", "parallel sweep cells; 0 = hardware threads clamped to "
+                    "[2, 4], absent = serial. Output is byte-identical at "
+                    "any N."},
       {"quick", "", "smaller grid / fewer ops for a fast smoke run"},
       {"content-mode", "full|shadow",
        "payload content fidelity (default shadow: elide payload "

@@ -118,8 +118,8 @@ struct MicroConfig {
   /// Content fidelity of every node's memory (DESIGN.md §7.3). Shadow
   /// by default: timing, stats and JSON output are pinned identical to
   /// kFull, only the payload byte copies are elided. Harnesses that
-  /// inject crashes (check/, fault/) pin kFull — Node refuses to arm
-  /// crash hooks in shadow mode.
+  /// inject crashes (check/, fault/) pin kFull — Node::crash() refuses
+  /// shadow mode.
   mem::ContentMode content_mode = mem::ContentMode::kShadow;
   /// Multi-replica durability axis (src/repl). kNone (the default)
   /// reproduces the single-primary deployment bit for bit; chain or
@@ -242,7 +242,7 @@ repl::ReplicationConfig replication_from(const Flags& flags);
 /// Shared --engine-threads flag: worker threads of the partitioned
 /// event engine (DESIGN.md §7.5). Absent or 0 → `def` (benches pass 1,
 /// the bit-exact serial engine). Crash-injecting harnesses must keep
-/// the default — Node refuses crash hooks on a partitioned engine.
+/// the default — Node::crash() refuses a partitioned engine.
 unsigned engine_threads_from(const Flags& flags, unsigned def = 1);
 
 /// Shared topology flag family: --topology=point-to-point|rack|

@@ -26,7 +26,8 @@ namespace prdma::bench {
 /// all, so the serial path is exactly the pre-SweepRunner code path.
 class SweepRunner {
  public:
-  /// `jobs` as given by the --jobs flag; 0 means hardware concurrency.
+  /// `jobs` as given by the --jobs flag; 0 means default_jobs()
+  /// (hardware threads clamped to [2, 4]).
   explicit SweepRunner(std::size_t jobs = 1)
       : jobs_(jobs == 0 ? default_jobs() : jobs) {}
 
@@ -85,8 +86,9 @@ class SweepRunner {
 };
 
 /// Shared --jobs flag convention for every bench binary: absent → 1
-/// (serial, bit-identical to the historical behaviour), --jobs=0 → one
-/// worker per hardware thread, --jobs=N → N workers.
+/// (serial, bit-identical to the historical behaviour), --jobs=0 →
+/// SweepRunner::default_jobs() (hardware threads clamped to [2, 4]),
+/// --jobs=N → N workers.
 std::size_t jobs_from(const Flags& flags);
 
 }  // namespace prdma::bench

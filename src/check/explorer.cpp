@@ -5,7 +5,8 @@
 #include <sstream>
 
 #include "bench_util/micro.hpp"
-#include "bench_util/sweep.hpp"
+#include "check/harness.hpp"
+#include "check/search.hpp"
 #include "rpcs/registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/sync.hpp"
@@ -63,19 +64,37 @@ Task<> write_driver(core::DurableRpcClient& client, Harness& h,
   wg.done();
 }
 
-/// Waits for the crash (signalled from the simulator crash hook), then
-/// walks the server through restart + log replay and reopens the gate.
-Task<> recovery_loop(core::Cluster& cluster, core::DurableRpcServer& server,
-                     std::vector<core::DurableRpcClient*> clients,
-                     DurabilityOracle& oracle, Harness& h,
+/// Waits for the crash, brings the server back and reopens the gate.
+Task<> recovery_loop(const ServerUnderTest& sut, Harness& h,
                      sim::Event& crashed, SimTime restart_delay) {
-  if (!co_await crashed.wait()) co_return;
-  co_await sim::delay(cluster.sim(), restart_delay);
-  cluster.node(0).restart();
-  co_await server.recover_and_restart();
-  for (auto* c : clients) server.reconnect_client(*c);
-  oracle.after_recovery();
+  // A named local, not `if (!co_await crashed.wait()) co_return;`:
+  // GCC 12.2 miscompiles that form in some coroutines. Here the server
+  // never restarted after the crash, and explore() died on SIGILL.
+  const bool fired = co_await crashed.wait();
+  if (!fired) co_return;
+  co_await restart_server(sut, restart_delay);
   h.up->set();
+}
+
+/// Every candidate schedule of one exploration, in serial order:
+/// targeted crashes straddling each phase boundary (t-1, t, t+1), then
+/// seeded random crash instants over the whole run.
+std::vector<Schedule> crash_candidates(const ExplorerConfig& cfg,
+                                       const ExplorerReport& rep) {
+  std::vector<Schedule> out;
+  for (const SimTime t : rep.boundary_points) {
+    for (const std::int64_t dt : {-1, 0, 1}) {
+      const auto at = static_cast<std::int64_t>(t) + dt;
+      if (at < 1) continue;
+      out.push_back(Schedule{cfg.seed, static_cast<SimTime>(at), cfg.ops});
+    }
+  }
+  sim::Rng rng(cfg.seed ^ 0xC2B2AE3D27D4EB4Full);
+  const SimTime span = std::max<SimTime>(rep.clean_end, 2);
+  for (std::uint32_t i = 0; i < cfg.random_schedules; ++i) {
+    out.push_back(Schedule{cfg.seed, rng.uniform(1, span - 1), cfg.ops});
+  }
+  return out;
 }
 
 }  // namespace
@@ -132,22 +151,18 @@ ScheduleResult run_schedule(const ExplorerConfig& cfg, const Schedule& s,
   h.value_size = cfg.value_size;
   h.up = &up;
 
+  const ServerUnderTest sut{cluster.node(0), server, {&client}, &oracle};
   if (s.crash_at > 0) {
-    // The full power-failure sequence at one simulated nanosecond:
-    // software teardown, then hardware state loss (in-flight DMA lands
-    // torn on the PM media), then the crash-instant audit.
-    cluster.sim().add_crash_hook([&] {
+    // The full power-failure sequence at one simulated nanosecond, then
+    // the media snapshot the write drivers trust after recovery.
+    cluster.sim().schedule_at(s.crash_at, [&] {
       up.reset();
-      server.on_crash();
-      cluster.node(0).crash();
-      client.abort_pending();
-      oracle.on_crash();
+      crash_server(sut);
       h.durable_watermark = server.durable_watermark(0);
+      result.crash_fired = true;
       crashed.set();
     });
-    cluster.sim().schedule_crash_at(s.crash_at);
-    sim::spawn(recovery_loop(cluster, server, {&client}, oracle, h, crashed,
-                             cfg.restart_delay));
+    sim::spawn(recovery_loop(sut, h, crashed, cfg.restart_delay));
   }
 
   sim::WaitGroup wg(cluster.sim());
@@ -155,24 +170,16 @@ ScheduleResult run_schedule(const ExplorerConfig& cfg, const Schedule& s,
   for (std::uint32_t d = 0; d < cfg.window; ++d) {
     sim::spawn(write_driver(client, h, wg));
   }
-
-  bool finished = false;
-  SimTime end = 0;
-  sim::spawn([](sim::WaitGroup& w, bool& f, SimTime& t,
-                sim::Simulator& sim) -> Task<> {
-    co_await w.wait();
-    f = true;
-    t = sim.now();
-  }(wg, finished, end, cluster.sim()));
+  std::optional<SimTime> end;
+  sim::spawn(watch_finish(wg, cluster.sim(), end));
 
   cluster.sim().run();
 
-  result.crash_fired = cluster.sim().crashes_triggered() > 0;
   result.ops_completed = h.completed;
   result.resends = h.resends;
   result.acks = oracle.acks_recorded();
   result.replays = oracle.replays_observed();
-  result.end_time = finished ? end : cluster.sim().now();
+  result.end_time = end.value_or(cluster.sim().now());
   result.violations = oracle.violations();
 
   if (boundaries != nullptr) {
@@ -183,95 +190,14 @@ ScheduleResult run_schedule(const ExplorerConfig& cfg, const Schedule& s,
   return result;
 }
 
-namespace {
-
-/// Evenly samples at most `cap` timestamps out of `points` (keeps ends).
-std::vector<SimTime> sample_boundaries(const std::vector<SimTime>& points,
-                                       std::uint32_t cap) {
-  if (points.size() <= cap) return points;
-  std::vector<SimTime> out;
-  out.reserve(cap);
-  for (std::uint32_t i = 0; i < cap; ++i) {
-    const std::size_t idx = (points.size() - 1) * i / (cap - 1);
-    out.push_back(points[idx]);
-  }
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-}  // namespace
-
 ExplorerReport explore(const ExplorerConfig& cfg) {
-  ExplorerReport rep;
-
-  // Phase 1: traced dry run — protocol-phase boundary timestamps.
-  std::vector<SimTime> trace;
-  const Schedule dry{cfg.seed, 0, cfg.ops};
-  const ScheduleResult base = run_schedule(cfg, dry, &trace);
-  rep.clean_end = base.end_time;
-  rep.boundary_points = sample_boundaries(trace, cfg.max_boundary_points);
-
-  // The candidate list is generated up front, in serial order (every
-  // RNG draw happens here, before any schedule runs), then mapped over
-  // SweepRunner workers. Results come back in submission order, so the
-  // scan below — and with it first_failure, the reproducer, the whole
-  // report — is byte-identical at any cfg.jobs value.
-  std::vector<Schedule> candidates;
-
-  // Phase 2: targeted schedules straddling each phase boundary.
-  for (const SimTime t : rep.boundary_points) {
-    for (const std::int64_t dt : {-1, 0, 1}) {
-      const auto at = static_cast<std::int64_t>(t) + dt;
-      if (at < 1) continue;
-      candidates.push_back(Schedule{cfg.seed, static_cast<SimTime>(at),
-                                    cfg.ops});
-    }
-  }
-
-  // Phase 3: seeded random crash instants over the whole run.
-  sim::Rng rng(cfg.seed ^ 0xC2B2AE3D27D4EB4Full);
-  const SimTime span = std::max<SimTime>(base.end_time, 2);
-  for (std::uint32_t i = 0; i < cfg.random_schedules; ++i) {
-    candidates.push_back(Schedule{cfg.seed, rng.uniform(1, span - 1),
-                                  cfg.ops});
-  }
-
-  bench::SweepRunner runner(cfg.jobs);
-  std::vector<ScheduleResult> results = runner.map(
-      candidates, [&cfg](const Schedule& s) { return run_schedule(cfg, s); });
-
-  for (ScheduleResult& r : results) {
-    ++rep.schedules_run;
-    if (r.failed()) {
-      ++rep.schedules_failed;
-      if (!rep.first_failure.has_value()) rep.first_failure = std::move(r);
-    }
-  }
-
-  // Phase 4: shrink the first failure to a minimal reproducer (fewest
-  // driven ops that still violate an invariant at the same instant).
-  if (rep.first_failure.has_value()) {
-    Schedule best = rep.first_failure->schedule;
-    ScheduleResult best_result = *rep.first_failure;
-    std::uint64_t lo = 1;  // smallest op count not known to pass
-    std::uint64_t ops = best.ops;
-    while (ops > lo) {
-      const std::uint64_t cand = lo + (ops - lo) / 2;
-      Schedule t = best;
-      t.ops = cand;
-      ScheduleResult r = run_schedule(cfg, t);
-      if (r.failed()) {
-        ops = cand;
-        best = t;
-        best_result = std::move(r);
-      } else {
-        lo = cand + 1;
-      }
-    }
-    rep.minimal = std::move(best_result);
-    rep.reproducer = format_reproducer(best);
-  }
-  return rep;
+  return search_schedules<ExplorerReport>(
+      Schedule{cfg.seed, 0, cfg.ops}, cfg.max_boundary_points, cfg.jobs,
+      [&cfg](const Schedule& s, std::vector<SimTime>* boundaries) {
+        return run_schedule(cfg, s, boundaries);
+      },
+      [&cfg](const ExplorerReport& rep) { return crash_candidates(cfg, rep); },
+      format_reproducer);
 }
 
 const char* net_fault_family_name(NetFaultFamily family) {

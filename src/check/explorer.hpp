@@ -40,8 +40,8 @@ struct ExplorerConfig {
   /// with crash instants to probe crash-during-retransmit windows; use
   /// with_net_faults() for the canned families.
   net::FaultPlan faults;
-  /// Worker threads for independent schedules (0 = hardware
-  /// concurrency). Every schedule is a pure function of (cfg, s), so
+  /// Worker threads for independent schedules (0 = hardware threads
+  /// clamped to [2, 4], SweepRunner::default_jobs()). Every schedule is a pure function of (cfg, s), so
   /// the report is byte-identical at any jobs value; only wall-clock
   /// changes (DESIGN.md §7.1).
   std::size_t jobs = 1;

@@ -6,7 +6,8 @@
 #include <sstream>
 
 #include "bench_util/micro.hpp"
-#include "bench_util/sweep.hpp"
+#include "check/harness.hpp"
+#include "check/search.hpp"
 #include "sim/rng.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -49,18 +50,66 @@ Task<> repl_write_driver(repl::ReplicatedClient& client, ReplHarness& h,
   wg.done();
 }
 
-/// Evenly samples at most `cap` timestamps out of `points` (keeps ends).
-std::vector<SimTime> sample_boundaries(const std::vector<SimTime>& points,
-                                       std::uint32_t cap) {
-  if (points.size() <= cap) return points;
-  std::vector<SimTime> out;
-  out.reserve(cap);
-  for (std::uint32_t i = 0; i < cap; ++i) {
-    const std::size_t idx = (points.size() - 1) * i / (cap - 1);
-    out.push_back(points[idx]);
+/// Every candidate schedule of one replicated exploration, in serial
+/// order: per-replica boundary straddles, correlated, crash-during-
+/// recovery and failover pairs, then seeded random singles and pairs.
+std::vector<ReplSchedule> repl_candidates(const ReplExplorerConfig& cfg,
+                                          const ReplExplorerReport& rep) {
+  std::vector<ReplSchedule> candidates;
+
+  // Single-replica crashes straddling each phase boundary.
+  for (std::size_t r = 0; r < cfg.replicas; ++r) {
+    for (const SimTime t : rep.boundary_points) {
+      for (const std::int64_t dt : {-1, 0, 1}) {
+        const auto at = static_cast<std::int64_t>(t) + dt;
+        if (at < 1) continue;
+        candidates.push_back(
+            ReplSchedule{cfg.seed, cfg.ops, {{r, static_cast<SimTime>(at)}}});
+      }
+    }
   }
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+
+  // Correlated crashes — every replica at the same instant.
+  for (const SimTime t : rep.boundary_points) {
+    ReplSchedule s{cfg.seed, cfg.ops, {}};
+    for (std::size_t r = 0; r < cfg.replicas; ++r) s.crashes.push_back({r, t});
+    candidates.push_back(std::move(s));
+  }
+
+  // Crash-during-recovery (re-kill the same replica while it is down
+  // / replaying) and failover (second replica dies while the first
+  // recovers).
+  for (const SimTime t : rep.boundary_points) {
+    candidates.push_back(ReplSchedule{
+        cfg.seed, cfg.ops, {{0, t}, {0, t + cfg.restart_delay / 2}}});
+    candidates.push_back(ReplSchedule{
+        cfg.seed,
+        cfg.ops,
+        {{0, t}, {0, t + cfg.restart_delay + 2 * sim::kMicrosecond}}});
+    candidates.push_back(ReplSchedule{
+        cfg.seed,
+        cfg.ops,
+        {{0, t}, {1 % cfg.replicas, t + cfg.restart_delay / 2}}});
+  }
+
+  // Seeded random singles and pairs over the whole run.
+  sim::Rng rng(cfg.seed ^ 0xC2B2AE3D27D4EB4Full);
+  const SimTime span = std::max<SimTime>(rep.clean_end, 2);
+  for (std::uint32_t i = 0; i < cfg.random_schedules; ++i) {
+    const auto r = static_cast<std::size_t>(
+        rng.uniform(0, cfg.replicas - 1));
+    candidates.push_back(
+        ReplSchedule{cfg.seed, cfg.ops, {{r, rng.uniform(1, span - 1)}}});
+  }
+  for (std::uint32_t i = 0; i < cfg.random_schedules / 2; ++i) {
+    const auto r1 = static_cast<std::size_t>(rng.uniform(0, cfg.replicas - 1));
+    const auto r2 = static_cast<std::size_t>(rng.uniform(0, cfg.replicas - 1));
+    const SimTime t1 = rng.uniform(1, span - 1);
+    const SimTime t2 = rng.uniform(1, span + cfg.restart_delay);
+    candidates.push_back(ReplSchedule{cfg.seed, cfg.ops, {{r1, t1}, {r2, t2}}});
+  }
+
+  return candidates;
 }
 
 }  // namespace
@@ -128,14 +177,8 @@ ReplScheduleResult run_repl_schedule(const ReplExplorerConfig& cfg,
     sim::spawn(repl_write_driver(client, h, wg));
   }
 
-  bool finished = false;
-  SimTime end = 0;
-  sim::spawn([](sim::WaitGroup& w, bool& f, SimTime& t,
-                sim::Simulator& sim) -> Task<> {
-    co_await w.wait();
-    f = true;
-    t = sim.now();
-  }(wg, finished, end, cluster.sim()));
+  std::optional<SimTime> end;
+  sim::spawn(watch_finish(wg, cluster.sim(), end));
 
   cluster.sim().run();
 
@@ -145,7 +188,7 @@ ReplScheduleResult run_repl_schedule(const ReplExplorerConfig& cfg,
   result.txn_acks = client.acked();
   result.hop_acks = oracle.acks_recorded();
   result.replays = oracle.replays_observed();
-  result.end_time = finished ? end : cluster.sim().now();
+  result.end_time = end.value_or(cluster.sim().now());
   result.violations = oracle.violations();
 
   if (boundaries != nullptr) {
@@ -157,109 +200,15 @@ ReplScheduleResult run_repl_schedule(const ReplExplorerConfig& cfg,
 }
 
 ReplExplorerReport explore_repl(const ReplExplorerConfig& cfg) {
-  ReplExplorerReport rep;
-
-  // Phase 1: traced dry run — protocol-phase boundaries across every
-  // replica's hop session and redo log.
-  std::vector<SimTime> trace;
-  const ReplSchedule dry{cfg.seed, cfg.ops, {}};
-  const ReplScheduleResult base = run_repl_schedule(cfg, dry, &trace);
-  rep.clean_end = base.end_time;
-  rep.boundary_points = sample_boundaries(trace, cfg.max_boundary_points);
-
-  // Candidates are generated up front in serial order (every RNG draw
-  // happens before any schedule runs), then mapped over SweepRunner
-  // workers — the report is byte-identical at any cfg.jobs.
-  std::vector<ReplSchedule> candidates;
-
-  // Phase 2a: single-replica crashes straddling each phase boundary.
-  for (std::size_t r = 0; r < cfg.replicas; ++r) {
-    for (const SimTime t : rep.boundary_points) {
-      for (const std::int64_t dt : {-1, 0, 1}) {
-        const auto at = static_cast<std::int64_t>(t) + dt;
-        if (at < 1) continue;
-        candidates.push_back(
-            ReplSchedule{cfg.seed, cfg.ops, {{r, static_cast<SimTime>(at)}}});
-      }
-    }
-  }
-
-  // Phase 2b: correlated crashes — every replica at the same instant.
-  for (const SimTime t : rep.boundary_points) {
-    ReplSchedule s{cfg.seed, cfg.ops, {}};
-    for (std::size_t r = 0; r < cfg.replicas; ++r) s.crashes.push_back({r, t});
-    candidates.push_back(std::move(s));
-  }
-
-  // Phase 2c: crash-during-recovery (re-kill the same replica while it
-  // is down / replaying) and failover (second replica dies while the
-  // first recovers).
-  for (const SimTime t : rep.boundary_points) {
-    candidates.push_back(ReplSchedule{
-        cfg.seed, cfg.ops, {{0, t}, {0, t + cfg.restart_delay / 2}}});
-    candidates.push_back(ReplSchedule{
-        cfg.seed,
-        cfg.ops,
-        {{0, t}, {0, t + cfg.restart_delay + 2 * sim::kMicrosecond}}});
-    candidates.push_back(ReplSchedule{
-        cfg.seed, cfg.ops, {{0, t}, {1 % cfg.replicas, t + cfg.restart_delay / 2}}});
-  }
-
-  // Phase 3: seeded random singles and pairs over the whole run.
-  sim::Rng rng(cfg.seed ^ 0xC2B2AE3D27D4EB4Full);
-  const SimTime span = std::max<SimTime>(base.end_time, 2);
-  for (std::uint32_t i = 0; i < cfg.random_schedules; ++i) {
-    const auto r = static_cast<std::size_t>(
-        rng.uniform(0, cfg.replicas - 1));
-    candidates.push_back(
-        ReplSchedule{cfg.seed, cfg.ops, {{r, rng.uniform(1, span - 1)}}});
-  }
-  for (std::uint32_t i = 0; i < cfg.random_schedules / 2; ++i) {
-    const auto r1 = static_cast<std::size_t>(rng.uniform(0, cfg.replicas - 1));
-    const auto r2 = static_cast<std::size_t>(rng.uniform(0, cfg.replicas - 1));
-    const SimTime t1 = rng.uniform(1, span - 1);
-    const SimTime t2 = rng.uniform(1, span + cfg.restart_delay);
-    candidates.push_back(ReplSchedule{cfg.seed, cfg.ops, {{r1, t1}, {r2, t2}}});
-  }
-
-  bench::SweepRunner runner(cfg.jobs);
-  std::vector<ReplScheduleResult> results =
-      runner.map(candidates, [&cfg](const ReplSchedule& s) {
-        return run_repl_schedule(cfg, s);
-      });
-
-  for (ReplScheduleResult& r : results) {
-    ++rep.schedules_run;
-    if (r.failed()) {
-      ++rep.schedules_failed;
-      if (!rep.first_failure.has_value()) rep.first_failure = std::move(r);
-    }
-  }
-
-  // Phase 4: shrink the first failure — fewest driven ops that still
-  // violate the cluster predicate under the same crash points.
-  if (rep.first_failure.has_value()) {
-    ReplSchedule best = rep.first_failure->schedule;
-    ReplScheduleResult best_result = *rep.first_failure;
-    std::uint64_t lo = 1;
-    std::uint64_t ops = best.ops;
-    while (ops > lo) {
-      const std::uint64_t cand = lo + (ops - lo) / 2;
-      ReplSchedule t = best;
-      t.ops = cand;
-      ReplScheduleResult r = run_repl_schedule(cfg, t);
-      if (r.failed()) {
-        ops = cand;
-        best = t;
-        best_result = std::move(r);
-      } else {
-        lo = cand + 1;
-      }
-    }
-    rep.minimal = std::move(best_result);
-    rep.reproducer = format_repl_reproducer(best);
-  }
-  return rep;
+  return search_schedules<ReplExplorerReport>(
+      ReplSchedule{cfg.seed, cfg.ops, {}}, cfg.max_boundary_points, cfg.jobs,
+      [&cfg](const ReplSchedule& s, std::vector<SimTime>* boundaries) {
+        return run_repl_schedule(cfg, s, boundaries);
+      },
+      [&cfg](const ReplExplorerReport& rep) {
+        return repl_candidates(cfg, rep);
+      },
+      format_repl_reproducer);
 }
 
 std::string format_repl_reproducer(const ReplSchedule& s) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -38,8 +37,6 @@ class Node {
         pm_alloc_(0, params.memory.pm_capacity),
         dram_alloc_(mem::NodeMemory::kDramBase, params.memory.dram_capacity) {}
 
-  ~Node() { detach_crash_hook(); }
-
   [[nodiscard]] net::NodeId id() const { return id_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] mem::NodeMemory& mem() { return mem_; }
@@ -49,12 +46,29 @@ class Node {
   [[nodiscard]] rdma::RegionAllocator& pm_alloc() { return pm_alloc_; }
   [[nodiscard]] rdma::RegionAllocator& dram_alloc() { return dram_alloc_; }
 
-  /// Power failure of this machine. Crash listeners run first (software
-  /// teardown — an RPC server stopping its pumps), then the hardware
-  /// loses its volatile state: in-flight DMA lands torn, SRAM, dirty
-  /// LLC lines and DRAM vanish, PM survives.
+  /// Power failure of this machine, and the one checked entry every
+  /// crash goes through (explorers, fault experiments, replica
+  /// crashes). The hardware loses its volatile state: in-flight DMA
+  /// lands torn, SRAM, dirty LLC lines and DRAM vanish, PM survives.
+  /// Software teardown (an RPC server stopping its pumps) is the
+  /// caller's job and comes first.
+  ///
+  /// Refused, before any state changes, in kShadow content mode (torn
+  /// entries and post-crash byte checks need the full content plane)
+  /// and on a multi-partition engine (DESIGN.md §7.5 crash coherence:
+  /// a power failure tears down software on other nodes' partitions
+  /// mid-epoch, which a conservative engine cannot order).
   void crash() {
-    for (const auto& listener : crash_listeners_) listener();
+    if (mem_.content_mode() == mem::ContentMode::kShadow) {
+      throw std::logic_error(
+          "a crash requires ContentMode::kFull (run with "
+          "--content-mode=full)");
+    }
+    if (partitioned_) {
+      throw std::logic_error(
+          "a crash requires a single-partition engine (run with "
+          "--engine-threads 1)");
+    }
     rnic_.crash();
     mem_.crash();
   }
@@ -63,51 +77,6 @@ class Node {
   /// volatile is gone. The application layer re-creates QPs and runs
   /// recovery from the redo log.
   void restart() { rnic_.restart(); }
-
-  // ---- crash-hook interface (crash-schedule exploration) ----
-
-  /// Registers software that must be torn down when this node loses
-  /// power; invoked (registration order) at the start of crash().
-  void add_crash_listener(std::function<void()> fn) {
-    crash_listeners_.push_back(std::move(fn));
-  }
-
-  void clear_crash_listeners() { crash_listeners_.clear(); }
-
-  /// Wires this node to the simulator's crash-hook registry: every
-  /// Simulator::trigger_crash() now power-fails this node. Idempotent.
-  /// Refused in kShadow content mode: crash fidelity (torn entries,
-  /// post-crash byte checks) requires the full content plane.
-  void attach_crash_hook() {
-    if (crash_hook_ != 0) return;
-    if (mem_.content_mode() == mem::ContentMode::kShadow) {
-      throw std::logic_error(
-          "crash hooks require ContentMode::kFull (run with "
-          "--content-mode=full)");
-    }
-    if (partitioned_) {
-      // Crash coherence rule (DESIGN.md §7.5): a power failure tears
-      // down software on *other* nodes' partitions mid-epoch, which a
-      // conservative engine cannot order. Exploration pins one thread.
-      throw std::logic_error(
-          "crash hooks require a single-partition engine (run with "
-          "--engine-threads 1)");
-    }
-    crash_hook_ = sim_.add_crash_hook([this] { crash(); });
-  }
-
-  void detach_crash_hook() {
-    if (crash_hook_ == 0) return;
-    sim_.remove_crash_hook(crash_hook_);
-    crash_hook_ = 0;
-  }
-
-  /// Schedules a power failure of this node at absolute simulated time
-  /// `t` — any nanosecond, including mid-RDMA-write or mid-persist.
-  void schedule_crash_at(sim::SimTime t) {
-    attach_crash_hook();
-    sim_.schedule_crash_at(t);
-  }
 
  private:
   net::NodeId id_;
@@ -119,8 +88,6 @@ class Node {
   host::Host host_;
   rdma::RegionAllocator pm_alloc_;
   rdma::RegionAllocator dram_alloc_;
-  std::vector<std::function<void()>> crash_listeners_;
-  sim::Simulator::CrashHookId crash_hook_ = 0;
 };
 
 /// A simulated testbed: event engine + fabric + N nodes, built from one

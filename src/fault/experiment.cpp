@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "bench_util/micro.hpp"
-#include "check/oracle.hpp"
+#include "check/harness.hpp"
 #include "core/durable_rpc.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -92,20 +92,20 @@ Task<> driver(core::RpcClient& client, Harness& h, FailureRunConfig cfg,
   wg.done();
 }
 
-Task<> orchestrator(core::Cluster& cluster, core::RpcServer& server,
-                    std::vector<core::RpcClient*> clients, Harness& h,
-                    FailureRunConfig cfg, FailureRunResult& out,
-                    check::DurabilityOracle* oracle) {
-  auto* durable_server = dynamic_cast<core::DurableRpcServer*>(&server);
+Task<> orchestrator(const check::ServerUnderTest& sut, Harness& h,
+                    FailureRunConfig cfg, FailureRunResult& out) {
+  auto* durable_server = dynamic_cast<core::DurableRpcServer*>(&sut.server);
   for (std::uint32_t i = 0; i < cfg.crashes; ++i) {
-    if (!co_await h.crash_trigger->wait()) break;
+    // Named local, not `if (!co_await ...)`: see recovery_loop in
+    // check/explorer.cpp.
+    const bool triggered = co_await h.crash_trigger->wait();
+    if (!triggered) break;
     h.crash_trigger->reset();
     h.up->reset();
 
-    // Power failure at the server: the simulator's crash hook (wired
-    // up in run_with_failures) runs the whole teardown — software
-    // stop, hardware state loss, durability audit.
-    cluster.sim().trigger_crash();
+    // Power failure at the server: software stop, hardware state loss,
+    // durability audit.
+    check::crash_server(sut);
     ++out.crashes;
 
     // What made it into the redo log before the lights went out?
@@ -113,11 +113,7 @@ Task<> orchestrator(core::Cluster& cluster, core::RpcServer& server,
         durable_server != nullptr ? durable_server->durable_watermark(0) : 0;
 
     // Unikernel restart (§5.4: ~300 ms), then recovery + reconnect.
-    co_await sim::delay(cluster.sim(), cfg.restart_delay);
-    cluster.node(0).restart();
-    co_await server.recover_and_restart();
-    for (auto* c : clients) server.reconnect_client(*c);
-    if (oracle != nullptr) oracle->after_recovery();
+    co_await check::restart_server(sut, cfg.restart_delay);
 
     h.crash_requested = false;
     h.up->set();
@@ -133,8 +129,7 @@ FailureRunResult run_with_failures(rpcs::System system,
   mc.objects = 4096;
   mc.seed = cfg.seed;
   mc.heavy_load = cfg.heavy_processing;
-  // Crash injection requires the full content plane (see Node::
-  // attach_crash_hook).
+  // Crash injection requires the full content plane (Node::crash()).
   mc.content_mode = mem::ContentMode::kFull;
   mc.topology = cfg.topology;
   core::ModelParams params = bench::params_for(mc);
@@ -159,15 +154,6 @@ FailureRunResult run_with_failures(rpcs::System system,
     }
   }
 
-  // The full power-failure sequence, runnable at any simulated instant
-  // via Simulator::trigger_crash().
-  cluster.sim().add_crash_hook([&] {
-    dep.server->on_crash();
-    cluster.node(0).crash();
-    for (auto& c : dep.clients) c->abort_pending();
-    if (oracle) oracle->on_crash();
-  });
-
   FailureRunResult result;
   sim::Event up(cluster.sim());
   up.set();
@@ -191,20 +177,14 @@ FailureRunResult run_with_failures(rpcs::System system,
     sim::spawn(driver(*dep.clients[0], h, cfg, params.object_count,
                       sim::Rng(cfg.seed * 31 + d), wg, cluster.sim()));
   }
-  sim::spawn(orchestrator(cluster, *dep.server, {dep.clients[0].get()}, h,
-                          cfg, result, oracle.get()));
-
-  bool finished = false;
-  SimTime end = 0;
-  sim::spawn([](sim::WaitGroup& w, bool& f, SimTime& t,
-                sim::Simulator& s) -> Task<> {
-    co_await w.wait();
-    f = true;
-    t = s.now();
-  }(wg, finished, end, cluster.sim()));
+  const check::ServerUnderTest sut{cluster.node(0), *dep.server,
+                                   {dep.clients[0].get()}, oracle.get()};
+  sim::spawn(orchestrator(sut, h, cfg, result));
+  std::optional<SimTime> end;
+  sim::spawn(check::watch_finish(wg, cluster.sim(), end));
 
   cluster.sim().run();
-  result.total = finished ? end : cluster.sim().now();
+  result.total = end.value_or(cluster.sim().now());
   result.ops_completed = h.completed;
   result.resends = h.resends;
   result.replayed = dep.server->stats().recoveries;

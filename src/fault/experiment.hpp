@@ -34,8 +34,9 @@ struct FailureRunConfig {
   sim::SimTime restart_delay = 300 * sim::kMillisecond;  ///< unikernel boot
   sim::SimTime retransmit_interval = 100 * sim::kMillisecond;
   bool heavy_processing = true;        ///< 100 µs per request at the server
-  /// Fabric shape (default point-to-point; --topology). Crash hooks
-  /// pin a single engine partition, which any preset satisfies here.
+  /// Fabric shape (default point-to-point; --topology). Node::crash()
+  /// needs a single engine partition; this serial cluster has one at
+  /// any preset.
   net::TopologyConfig topology;
 };
 

@@ -45,7 +45,7 @@ struct NodeMemoryParams {
   LlcParams llc{};
   /// Content fidelity (DESIGN.md §7.3): kFull stores every payload
   /// byte; kShadow elides payload copies (crash injection requires
-  /// kFull — Node refuses to arm crash hooks in kShadow).
+  /// kFull — Node::crash() refuses kShadow).
   ContentMode content_mode = ContentMode::kFull;
 };
 

@@ -99,13 +99,6 @@ void ReplicaSet::add_recovery_observer(std::function<void(std::size_t)> fn) {
 void ReplicaSet::crash_replica(std::size_t r, SimTime restart_delay) {
   assert(r < servers_.size());
   assert(restart_delay > 0 && "a crashed replica must come back");
-  if (cluster_.node(r).mem().content_mode() == mem::ContentMode::kShadow) {
-    // Same contract as Node::attach_crash_hook: post-crash media state
-    // is only byte-exact with full content.
-    throw std::logic_error(
-        "crash hooks require ContentMode::kFull (run with "
-        "--content-mode=full)");
-  }
   const std::uint64_t my_epoch = ++down_epoch_[r];
   server_up_[r] = false;
   up_[r]->reset();

@@ -100,8 +100,8 @@ class ReplicaSet : public core::RpcServer {
   /// `restart_delay` (> 0 — a dead replica always restarts, so every
   /// waiting coroutine eventually resumes). Crashing an already-down
   /// replica is allowed and restarts its recovery clock
-  /// (crash-during-recovery schedules do exactly this). Refused in
-  /// kShadow content mode, like Node::attach_crash_hook.
+  /// (crash-during-recovery schedules do exactly this). Throws where
+  /// Node::crash() does: kShadow content mode, multi-partition engine.
   void crash_replica(std::size_t r, sim::SimTime restart_delay);
 
   /// True once replica `r`'s server recovered and is serving again.

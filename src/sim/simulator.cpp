@@ -127,27 +127,6 @@ void Simulator::sift_down(std::size_t i) {
   heap_[i] = entry;
 }
 
-Simulator::CrashHookId Simulator::add_crash_hook(std::function<void()> fn) {
-  const CrashHookId id = next_crash_hook_++;
-  crash_hooks_.push_back(CrashHook{id, std::move(fn)});
-  return id;
-}
-
-void Simulator::remove_crash_hook(CrashHookId id) {
-  std::erase_if(crash_hooks_,
-                [id](const CrashHook& h) { return h.id == id; });
-}
-
-void Simulator::trigger_crash() {
-  ++crashes_triggered_;
-  // A hook may register/remove hooks (e.g. a restart re-arming); run
-  // over a snapshot so iteration stays well-defined.
-  std::vector<std::function<void()>> fns;
-  fns.reserve(crash_hooks_.size());
-  for (const CrashHook& h : crash_hooks_) fns.push_back(h.fn);
-  for (auto& fn : fns) fn();
-}
-
 bool Simulator::step_one() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_.front();

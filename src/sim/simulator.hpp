@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -152,43 +151,6 @@ class Simulator {
   /// Clears the stop flag so the simulation can be resumed.
   void clear_stop() { stopped_ = false; }
 
-  // ---- crash hooks (fault injection) ----
-  //
-  // A crash hook is a callback the fault machinery registers to model a
-  // power failure: the explorer (src/check/) schedules trigger_crash()
-  // at an arbitrary simulated nanosecond and every registered hook runs
-  // — in registration order — at that exact instant, mid-protocol if
-  // need be. Hooks stay registered across crashes (a run may inject
-  // several) and are removed explicitly. Registration is rare and the
-  // snapshot in trigger_crash() needs copies, so hooks stay
-  // std::function rather than InlineTask.
-
-  using CrashHookId = std::uint64_t;
-
-  /// Registers `fn` to run on every trigger_crash(). Returns an id for
-  /// remove_crash_hook().
-  CrashHookId add_crash_hook(std::function<void()> fn);
-
-  void remove_crash_hook(CrashHookId id);
-
-  /// Fires every registered crash hook now, in registration order.
-  void trigger_crash();
-
-  /// Schedules trigger_crash() at absolute simulated time `t` — the
-  /// entry point for nanosecond-precise crash schedules.
-  void schedule_crash_at(SimTime t) {
-    schedule_at(t, [this] { trigger_crash(); });
-  }
-
-  /// Number of trigger_crash() invocations since construction.
-  [[nodiscard]] std::uint64_t crashes_triggered() const {
-    return crashes_triggered_;
-  }
-
-  [[nodiscard]] std::size_t crash_hook_count() const {
-    return crash_hooks_.size();
-  }
-
   /// Number of events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
@@ -276,11 +238,6 @@ class Simulator {
     return slab_[i >> kSlabChunkShift][i & (kSlabChunkSlots - 1)];
   }
 
-  struct CrashHook {
-    CrashHookId id;
-    std::function<void()> fn;
-  };
-
   /// First member, so destroyed last: events in the slab below may
   /// own Tasks whose frames live in this arena.
   ShardFrames frames_;
@@ -288,10 +245,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  CrashHookId next_crash_hook_ = 1;
-  std::uint64_t crashes_triggered_ = 0;
   std::uint64_t pool_allocs_ = 0;
-  std::vector<CrashHook> crash_hooks_;
   std::vector<std::unique_ptr<Slot[]>> slab_;
   std::size_t slab_size_ = 0;  ///< slots handed out across all chunks
   std::uint32_t free_head_ = kNoSlot;

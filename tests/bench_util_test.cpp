@@ -320,7 +320,7 @@ TEST(SweepRunner, JobsFromFlagsDefaultsToSerial) {
   const char* argv4[] = {"prog", "--jobs=4"};
   EXPECT_EQ(jobs_from(Flags(2, const_cast<char**>(argv4))), 4u);
   const char* argv0[] = {"prog", "--jobs=0"};
-  // 0 = hardware concurrency, resolved by the runner itself.
+  // 0 = hardware threads clamped to [2, 4], resolved by the runner.
   EXPECT_EQ(SweepRunner(jobs_from(Flags(2, const_cast<char**>(argv0)))).jobs(),
             SweepRunner::default_jobs());
 }

@@ -16,6 +16,7 @@
 #include "check/explorer.hpp"
 #include "check/oracle.hpp"
 #include "check/repl_explorer.hpp"
+#include "check/search.hpp"
 #include "core/redo_log.hpp"
 #include "core/wire.hpp"
 
@@ -122,6 +123,29 @@ TEST(Explorer, DryRunHarvestsPhaseBoundaries) {
   EXPECT_GE(boundaries.size(), 2 * cfg.ops)  // posted + done per op minimum
       << "phase traces should fire for every verb transition";
   EXPECT_TRUE(std::is_sorted(boundaries.begin(), boundaries.end()));
+}
+
+TEST(SampleBoundaries, KeepsBothEndsWithinTheCap) {
+  const std::vector<sim::SimTime> points = {10, 20, 30, 40, 50, 60, 70};
+  EXPECT_EQ(sample_boundaries(points, 7), points);
+  EXPECT_EQ(sample_boundaries(points, 3),
+            (std::vector<sim::SimTime>{10, 40, 70}));
+  EXPECT_EQ(sample_boundaries(points, 2), (std::vector<sim::SimTime>{10, 70}));
+  EXPECT_EQ(sample_boundaries(points, 1), (std::vector<sim::SimTime>{10}));
+  EXPECT_EQ(sample_boundaries({}, 1), std::vector<sim::SimTime>{});
+}
+
+TEST(Explorer, OneBoundaryPointKeepsTheFirstBoundary) {
+  ExplorerConfig cfg = small_config(FlushVariant::kWFlush);
+  cfg.random_schedules = 4;
+  cfg.max_boundary_points = 1;
+  std::vector<sim::SimTime> trace;
+  (void)run_schedule(cfg, Schedule{cfg.seed, 0, cfg.ops}, &trace);
+  ASSERT_GE(trace.size(), 2u);
+  const auto rep = explore(cfg);
+  EXPECT_EQ(rep.boundary_points, std::vector<sim::SimTime>{trace.front()});
+  EXPECT_EQ(rep.schedules_run, 3u + cfg.random_schedules);
+  EXPECT_EQ(rep.schedules_failed, 0u);
 }
 
 // ---------------------------------------- all variants survive schedules
@@ -493,6 +517,24 @@ TEST(ReplExplorer, ParallelJobsReportIsBitIdenticalToSerial) {
   EXPECT_EQ(a.first_failure->schedule.crashes,
             b.first_failure->schedule.crashes);
   EXPECT_EQ(a.reproducer, b.reproducer);
+}
+
+TEST(ReplExplorer, OneBoundaryPointKeepsTheFirstBoundary) {
+  ReplExplorerConfig cfg = small_repl_config(core::FlushVariant::kWFlush,
+                                             repl::Protocol::kMirror);
+  cfg.random_schedules = 4;
+  cfg.max_boundary_points = 1;
+  std::vector<sim::SimTime> trace;
+  (void)run_repl_schedule(cfg, ReplSchedule{cfg.seed, cfg.ops, {}}, &trace);
+  ASSERT_GE(trace.size(), 2u);
+  const auto rep = explore_repl(cfg);
+  EXPECT_EQ(rep.boundary_points, std::vector<sim::SimTime>{trace.front()});
+  // Per-replica straddles, one correlated, three recovery pairs, then
+  // the random singles and pairs.
+  EXPECT_EQ(rep.schedules_run, 3 * cfg.replicas + 1 + 3 +
+                                   cfg.random_schedules +
+                                   cfg.random_schedules / 2);
+  EXPECT_EQ(rep.schedules_failed, 0u);
 }
 
 // ------------------------------------ replication on a degraded fabric

@@ -50,14 +50,13 @@ TEST(Node, CrashHooksRefusedInShadowContentMode) {
   p.memory.content_mode = mem::ContentMode::kShadow;
   Cluster cluster(p, 1);
   // Shadow mode elides payload bytes, so post-crash state (torn
-  // entries, oracle byte checks) would be fiction — arming must fail
-  // loudly, not silently degrade crash fidelity.
-  EXPECT_THROW(cluster.node(0).attach_crash_hook(), std::logic_error);
-  EXPECT_THROW(cluster.node(0).schedule_crash_at(1000), std::logic_error);
+  // entries, oracle byte checks) would be fiction — Node::crash() must
+  // fail loudly, not silently degrade crash fidelity.
+  EXPECT_THROW(cluster.node(0).crash(), std::logic_error);
 
   ModelParams pf = small_params();  // kFull default
   Cluster full(pf, 1);
-  EXPECT_NO_THROW(full.node(0).attach_crash_hook());
+  EXPECT_NO_THROW(full.node(0).crash());
 }
 
 // ------------------------------------------------------------------ wire

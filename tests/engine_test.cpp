@@ -244,11 +244,11 @@ TEST(Engine, CrashHooksRefusedOnAPartitionedCluster) {
   cfg.threads = 2;
   core::Cluster parallel(params, 3, cfg);
   EXPECT_EQ(parallel.engine().partitions(), 3u);
-  EXPECT_THROW(parallel.node(0).attach_crash_hook(), std::logic_error);
+  EXPECT_THROW(parallel.node(0).crash(), std::logic_error);
   EXPECT_THROW((void)parallel.sim(), std::logic_error);
 
   core::Cluster serial(params, 3);
-  serial.node(0).attach_crash_hook();  // single partition: accepted
+  serial.node(0).crash();  // single partition: accepted
   EXPECT_EQ(&serial.sim(), &serial.sim_of(0));
 }
 

@@ -233,13 +233,31 @@ TEST(Repl, CorrelatedCrashOfAllReplicasStillRecovers) {
 // ------------------------------------------------ content-mode contract
 
 TEST(Repl, ShadowContentModeRefusesCrashInjection) {
-  // Same fail-closed contract as Node::attach_crash_hook: shadow
-  // stores cannot express torn DMA, so crash injection must throw
-  // rather than silently pass a content-blind check.
+  // The fail-closed contract of Node::crash(): shadow stores cannot
+  // express torn DMA, so crash injection must throw rather than
+  // silently pass a content-blind check.
   bench::MicroConfig mc = repl_config(Protocol::kChain, 2);
   mc.content_mode = mem::ContentMode::kShadow;
   Fixture f(mc);
   EXPECT_THROW(f.set->crash_replica(0, sim::kMillisecond), std::logic_error);
+}
+
+TEST(Repl, PartitionedMirrorRefusesCrashInjection) {
+  // Node::crash()'s other refusal (DESIGN.md §7.5 crash coherence): a
+  // mirror cluster may run one partition per node, and a power failure
+  // there cannot be ordered against the other partitions' epochs.
+  const bench::MicroConfig mc = repl_config(Protocol::kMirror, 2);
+  const core::ModelParams params = bench::params_for(mc);
+  sim::EngineConfig ecfg;
+  ecfg.threads = 2;
+  core::Cluster cluster(params, 3, ecfg);
+  ASSERT_GT(cluster.engine().partitions(), 1u);
+  const std::size_t client_nodes[] = {2};
+  auto dep = make_replicated_deployment(cluster, FlushVariant::kWFlush,
+                                        mc.replication, client_nodes, params);
+  auto* set = dynamic_cast<ReplicaSet*>(dep.server.get());
+  ASSERT_NE(set, nullptr);
+  EXPECT_THROW(set->crash_replica(0, sim::kMillisecond), std::logic_error);
 }
 
 TEST(Repl, ShadowModeIsTimingIdenticalAndCopiesFewerBytes) {
