@@ -1,9 +1,12 @@
 // google-benchmark micro-benchmarks of the simulation substrate
 // itself: event-engine throughput, coroutine round-trips, histogram
-// recording, zipfian generation and PM/LLC model operations. These
-// bound how much simulated work the figure benches can afford.
+// recording, zipfian generation and PM/LLC model operations and the
+// shadow content plane. These bound how much simulated work the figure
+// benches can afford.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "mem/llc.hpp"
 #include "mem/node_memory.hpp"
@@ -146,5 +149,81 @@ static void BM_LlcIsDirtyClean64K(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LlcIsDirtyClean64K);
+
+// The shadow content plane (DESIGN.md §7.3) over a 50 000-slot object
+// store of 64-byte slots, each holding one 32-byte extent, as a 32 B
+// cell's store does. Arg 1 declares the slots (a flat table), Arg 0
+// leaves every extent to the ordered map.
+constexpr std::uint64_t kShadowSlots = 50000;
+constexpr std::uint64_t kShadowSlotBytes = 64;
+constexpr std::uint32_t kShadowLen = 32;
+
+std::unique_ptr<mem::NodeMemory> shadow_memory(sim::Simulator& s,
+                                               bool declared) {
+  mem::NodeMemoryParams p;
+  p.content_mode = mem::ContentMode::kShadow;
+  auto m = std::make_unique<mem::NodeMemory>(s, p);
+  if (declared) m->declare_slots(0, kShadowSlotBytes, kShadowSlots);
+  return m;
+}
+
+mem::PayloadRef shadow_payload(mem::NodeMemory& m) {
+  mem::PayloadRef p = m.pool().acquire(0);
+  p.buf()->append_shadow(kShadowLen, /*seed=*/7, /*off=*/0);
+  return p;
+}
+
+// First shadow store into every slot of a fresh store (setup and
+// teardown untimed).
+static void BM_ShadowPlaneFirstTouch50K(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator s;
+    auto m = shadow_memory(s, state.range(0) != 0);
+    const mem::PayloadRef p = shadow_payload(*m);
+    state.ResumeTiming();
+    for (std::uint64_t i = 0; i < kShadowSlots; ++i) {
+      m->dma_write_payload(i * kShadowSlotBytes, p, /*ddio=*/false);
+    }
+    state.PauseTiming();
+    m.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kShadowSlots));
+}
+BENCHMARK(BM_ShadowPlaneFirstTouch50K)->Arg(0)->Arg(1);
+
+// Store over the extent a slot already holds (same start and length).
+static void BM_ShadowPlaneExactOverwrite(benchmark::State& state) {
+  sim::Simulator s;
+  auto m = shadow_memory(s, state.range(0) != 0);
+  const mem::PayloadRef p = shadow_payload(*m);
+  for (std::uint64_t i = 0; i < kShadowSlots; ++i) {
+    m->dma_write_payload(i * kShadowSlotBytes, p, /*ddio=*/false);
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    m->dma_write_payload((i++ * 7919 % kShadowSlots) * kShadowSlotBytes, p,
+                         /*ddio=*/false);
+  }
+}
+BENCHMARK(BM_ShadowPlaneExactOverwrite)->Arg(0)->Arg(1);
+
+// read_payload of a written slot: one shadow segment, no bytes moved.
+static void BM_ShadowPlaneReadPayload(benchmark::State& state) {
+  sim::Simulator s;
+  auto m = shadow_memory(s, state.range(0) != 0);
+  const mem::PayloadRef p = shadow_payload(*m);
+  for (std::uint64_t i = 0; i < kShadowSlots; ++i) {
+    m->dma_write_payload(i * kShadowSlotBytes, p, /*ddio=*/false);
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m->read_payload(
+        (i++ * 7919 % kShadowSlots) * kShadowSlotBytes, kShadowLen));
+  }
+}
+BENCHMARK(BM_ShadowPlaneReadPayload)->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

@@ -99,12 +99,14 @@ def check_dataplane(dp, hw_concurrency):
     assert dp['steady_payload_slab_bytes'] == 0
     # Whole-process allocations per durable RPC (engine_perf counts
     # every global operator new). The ceiling only ever goes down, at
-    # 1.5x the latest measurement: 0.18 once coroutine frames came from
+    # 1.5x the latest measurement: 0 once shadow extents of cold object,
+    # log and staging slots went into flat per-slot tables (0.18 before,
+    # when each took a map node; 14.18 before coroutine frames came from
     # per-shard arenas and the RC windows, queues, completer and
-    # replication ledger stopped allocating per op (14.18 before,
-    # 15.18 before write watches stopped copying callbacks, 25.26
-    # before host charges stopped allocating coroutine frames).
-    assert dp['steady_process_allocs_per_rpc'] <= 0.28, \
+    # replication ledger stopped allocating per op, 15.18 before write
+    # watches stopped copying callbacks, 25.26 before host charges
+    # stopped allocating coroutine frames).
+    assert dp['steady_process_allocs_per_rpc'] == 0, \
         f"whole-process allocs/RPC rose: {dp['steady_process_allocs_per_rpc']}"
     assert 0 < dp['link_lookup_ns_per_op'] < 200, \
         f"link-table lookup cost off: {dp['link_lookup_ns_per_op']}"

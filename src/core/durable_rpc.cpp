@@ -81,12 +81,16 @@ std::unique_ptr<DurableRpcClient> DurableRpcServer::connect_client(
   const std::uint64_t resp_stage_bytes =
       64 + static_cast<std::uint64_t>(window_) * (params_.max_payload + 16);
   conn->stage_addr = server_.dram_alloc().alloc(resp_stage_bytes, 64);
+  server_.mem().declare_slots(conn->stage_addr + 64, params_.max_payload + 16,
+                              window_);
 
   if (is_send_based(variant_)) {
     conn->msg_slots = 2 * window_;
     const std::uint64_t msg_slot_bytes = layout.slot_bytes();
     conn->msg_base =
         server_.dram_alloc().alloc(conn->msg_slots * msg_slot_bytes, 256);
+    server_.mem().declare_slots(conn->msg_base, msg_slot_bytes,
+                                conn->msg_slots);
   }
 
   // Build the client object (allocates client-side regions).
@@ -545,6 +549,8 @@ DurableRpcClient::DurableRpcClient(DurableRpcServer& server, Node& node,
       node_.dram_alloc().alloc(window_size_ * staging_slot_bytes_, 256);
   notify_base_ = node_.dram_alloc().alloc(64, 64);
   resp_base_ = node_.dram_alloc().alloc(window_size_ * resp_slot_bytes_, 256);
+  node_.mem().declare_slots(staging_base_, staging_slot_bytes_, window_size_);
+  node_.mem().declare_slots(resp_base_, resp_slot_bytes_, window_size_);
 }
 
 std::string_view DurableRpcClient::name() const {
@@ -641,8 +647,7 @@ sim::Task<RpcResult> DurableRpcClient::transmit_entry(RpcOp op,
   const auto image = encode_log_entry_image(node_.mem(), seq, op, obj_id,
                                             payload_len, resp_slot, batch,
                                             op == RpcOp::kRead ? len : 0);
-  const std::uint64_t stage =
-      staging_base_ + ((seq - 1) % window_size_) * staging_slot_bytes_;
+  const std::uint64_t stage = staging_addr(seq);
   const std::uint64_t resp_addr = resp_base_ + resp_slot * resp_slot_bytes_;
   const std::uint64_t resp_len = op == RpcOp::kRead ? len : 0;
   if (op == RpcOp::kRead) {

@@ -56,6 +56,11 @@ class DurableRpcClient : public RpcClient {
   /// server's redo logs).
   [[nodiscard]] std::size_t conn_index() const { return conn_idx_; }
 
+  /// Client-DRAM staging slot of entry `seq`'s image.
+  [[nodiscard]] std::uint64_t staging_addr(std::uint64_t seq) const {
+    return staging_base_ + ((seq - 1) % window_size_) * staging_slot_bytes_;
+  }
+
   /// The client's verbs session (the durability oracle installs phase
   /// traces here to derive targeted crash timestamps).
   [[nodiscard]] rdma::QpSession* session() { return session_.get(); }

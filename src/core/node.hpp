@@ -59,6 +59,15 @@ class Node {
   /// a power failure tears down software on other nodes' partitions
   /// mid-epoch, which a conservative engine cannot order).
   void crash() {
+    check_crashable();
+    rnic_.crash();
+    mem_.crash();
+  }
+
+  /// Throws the std::logic_error crash() would throw, and does nothing
+  /// else: callers with software teardown to do before the power
+  /// failure ask first, so a refused crash leaves no state behind.
+  void check_crashable() const {
     if (mem_.content_mode() == mem::ContentMode::kShadow) {
       throw std::logic_error(
           "a crash requires ContentMode::kFull (run with "
@@ -69,8 +78,6 @@ class Node {
           "a crash requires a single-partition engine (run with "
           "--engine-threads 1)");
     }
-    rnic_.crash();
-    mem_.crash();
   }
 
   /// Power-up after a crash; PM contents are intact, everything

@@ -22,8 +22,10 @@ class ObjectStore {
         slot_(slot_bytes),
         base_(node.pm_alloc().alloc(object_count * slot_bytes, 256)) {
     // Fresh slots hold zeros: a read of a slot no run has written yet
-    // moves no bytes in kShadow (DESIGN.md §7.3).
+    // moves no bytes in kShadow, and each slot keeps its shadow extent
+    // inline (DESIGN.md §7.3).
     node.mem().declare_pristine(base_, object_count * slot_bytes);
+    node.mem().declare_slots(base_, slot_bytes, object_count);
   }
 
   [[nodiscard]] std::uint64_t count() const { return count_; }

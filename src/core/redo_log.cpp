@@ -137,7 +137,10 @@ std::optional<LogEntryView> decode_entry_at(const mem::NodeMemory& mem,
 }
 
 RedoLog::RedoLog(Node& server, LogLayout layout)
-    : node_(server), layout_(layout) {}
+    : node_(server), layout_(layout) {
+  server.mem().declare_slots(layout.base + LogLayout::kHeaderBytes,
+                             layout.slot_bytes(), layout.slots);
+}
 
 std::optional<LogEntryView> RedoLog::peek(std::uint64_t seq) const {
   auto e = decode_entry_at(node_.mem(), layout_.slot_addr(seq),

@@ -22,7 +22,7 @@ void NodeMemory::write_bytes_nofire(std::uint64_t addr,
                                     std::span<const std::byte> data,
                                     WritePath path, bool ddio) {
   if (data.empty()) return;
-  if (mode_ == ContentMode::kShadow && !shadow_.empty()) {
+  if (mode_ == ContentMode::kShadow && !shadow_empty()) {
     // Byte content is now authoritative over this range: drop/trim any
     // shadow extents it overlaps so digest lookups fail closed.
     trim_shadow(addr, data.size());
@@ -73,17 +73,81 @@ void NodeMemory::write_shadow_seg(std::uint64_t addr, std::uint64_t len,
   } else {
     dram_.poke_shadow(addr - kDramBase, len);
   }
+  // Exact overwrite of a tracked extent: update it in place.
+  SlotRing* ring = ring_at(addr);
+  std::uint64_t slot = 0;
+  std::uint64_t slot_start = 0;
+  if (ring != nullptr) {
+    slot = (addr - ring->base) / ring->slot_bytes;
+    slot_start = ring->base + slot * ring->slot_bytes;
+    SlotExtent* e = ring->find(slot);
+    if (e != nullptr && e->len == len && slot_start + e->at == addr) {
+      e->seed = seed;
+      e->off = off;
+      return;
+    }
+  }
   const ShadowRange r{len, seed, off};
-  const auto same = shadow_.find(addr);
-  if (same != shadow_.end() && same->second.len == len) {
-    same->second = r;  // exact overwrite of a tracked extent
+  if (!shadow_.empty()) {
+    const auto same = shadow_.find(addr);
+    if (same != shadow_.end() && same->second.len == len) {
+      same->second = r;
+      return;
+    }
+  }
+  const auto hint = trim_shadow(addr, len);
+  if (ring != nullptr && ring->find(slot) == nullptr &&
+      addr + len <= slot_start + ring->slot_bytes) {
+    ring->put(slot, SlotExtent{static_cast<std::uint32_t>(addr - slot_start),
+                               static_cast<std::uint32_t>(len), seed, off});
+    ++inline_extents_;
     return;
   }
-  insert_shadow(trim_shadow(addr, len), addr, r);
+  insert_shadow(hint, addr, r);
+}
+
+void NodeMemory::trim_slots(std::uint64_t addr, std::uint64_t len) {
+  const std::uint64_t end = addr + len;
+  for (std::size_t k = first_ring_after(addr);
+       k < spans_.size() && spans_[k].base < end; ++k) {
+    SlotRing& g = rings_[spans_[k].ring];
+    if (g.live == 0) continue;
+    const std::uint64_t hi = std::min(end, g.end);
+    for (std::uint64_t i = (std::max(addr, g.base) - g.base) / g.slot_bytes;
+         g.base + i * g.slot_bytes < hi; ++i) {
+      SlotExtent* hit = g.find(i);
+      if (hit == nullptr) continue;
+      SlotExtent& e = *hit;
+      const std::uint64_t slot_start = g.base + i * g.slot_bytes;
+      const std::uint64_t e_start = slot_start + e.at;
+      const std::uint64_t e_end = e_start + e.len;
+      if (e_end <= addr || e_start >= end) continue;
+      if (e_end > end) {
+        // Keep the untouched tail (stream offset advances accordingly).
+        const ShadowRange tail{e_end - end, e.seed, e.off + (end - e_start)};
+        if (e_start < addr) {
+          // The head stays inline; the tail is the slot's second extent.
+          e.len = static_cast<std::uint32_t>(addr - e_start);
+          insert_shadow(shadow_.lower_bound(end), end, tail);
+        } else {
+          e = SlotExtent{static_cast<std::uint32_t>(end - slot_start),
+                         static_cast<std::uint32_t>(tail.len), tail.seed,
+                         tail.off};
+        }
+      } else if (e_start < addr) {
+        e.len = static_cast<std::uint32_t>(addr - e_start);  // keep the head
+      } else {
+        g.erase(i);
+        --inline_extents_;
+      }
+    }
+  }
 }
 
 NodeMemory::ShadowMap::iterator NodeMemory::trim_shadow(std::uint64_t addr,
                                                         std::uint64_t len) {
+  if (inline_extents_ != 0) trim_slots(addr, len);
+  if (shadow_.empty()) return shadow_.end();
   const std::uint64_t end = addr + len;
   auto it = shadow_.upper_bound(addr);
   if (it != shadow_.begin()) {
@@ -120,6 +184,22 @@ NodeMemory::ShadowMap::iterator NodeMemory::insert_shadow(
   nh.key() = start;
   nh.mapped() = r;
   return shadow_.insert(hint, std::move(nh));
+}
+
+void NodeMemory::declare_slots(std::uint64_t base, std::uint64_t slot_bytes,
+                               std::uint64_t slots) {
+  if (mode_ == ContentMode::kFull || slots == 0 || slot_bytes == 0 ||
+      slot_bytes >= (1ull << 32) || slots >= (1ull << 32)) {
+    return;
+  }
+  const std::uint64_t end = base + slots * slot_bytes;
+  const std::size_t k = first_ring_after(base);
+  if (k < spans_.size() && spans_[k].base < end) return;  // overlaps
+  spans_.insert(spans_.begin() + static_cast<std::ptrdiff_t>(k),
+                RingSpan{base, end, static_cast<std::uint32_t>(rings_.size())});
+  rings_.push_back(SlotRing{base, end, slot_bytes, 0, 0, 0,
+                            ZeroedArray<std::uint32_t>(slots),
+                            ZeroedArray<SlotExtent>(slots)});
 }
 
 void NodeMemory::declare_pristine(std::uint64_t addr, std::uint64_t len) {
@@ -202,7 +282,7 @@ PayloadRef NodeMemory::read_bytes_image(std::uint64_t addr,
 PayloadRef NodeMemory::read_payload(std::uint64_t addr, std::uint64_t len) {
   if (len == 0) return {};
   if (mode_ == ContentMode::kFull ||
-      (shadow_.empty() && !touches_pristine(addr, len))) {
+      (shadow_empty() && !touches_pristine(addr, len))) {
     return read_bytes_image(addr, len);
   }
 
@@ -241,25 +321,20 @@ PayloadRef NodeMemory::read_payload(std::uint64_t addr, std::uint64_t len) {
   };
   const std::uint64_t end = addr + len;
   std::uint64_t cur = addr;
-  auto it = shadow_.upper_bound(cur);
-  if (it != shadow_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.len > cur) it = prev;
-  }
+  Extent e{};
   while (cur < end && !overflow) {
-    if (it != shadow_.end() && it->first <= cur &&
-        cur < it->first + it->second.len) {
-      const std::uint64_t n =
-          std::min(end, it->first + it->second.len) - cur;
-      add(true, cur, n, it->second.seed, it->second.off + (cur - it->first));
-      cur += n;
-      ++it;
-    } else {
-      const std::uint64_t next =
-          (it == shadow_.end()) ? end : std::min(end, it->first);
-      add_gap(cur, next);
-      cur = next;
+    if (!next_extent(cur, end, e)) {
+      add_gap(cur, end);
+      break;
     }
+    if (e.start > cur) {
+      add_gap(cur, e.start);
+      cur = e.start;
+      if (overflow) break;
+    }
+    const std::uint64_t n = std::min(end, e.start + e.len) - cur;
+    add(true, cur, n, e.seed, e.off + (cur - e.start));
+    cur += n;
   }
   if (overflow) {
     // Too fragmented for one block's descriptor array: fall back to a
@@ -282,6 +357,45 @@ PayloadRef NodeMemory::read_payload(std::uint64_t addr, std::uint64_t len) {
     }
   }
   return r;
+}
+
+bool NodeMemory::next_extent(std::uint64_t at, std::uint64_t end,
+                             Extent& out) const {
+  bool found = false;
+  std::uint64_t limit = end;  // an inline extent must start before it
+  if (!shadow_.empty()) {
+    auto it = shadow_.upper_bound(at);
+    if (it != shadow_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->first + prev->second.len > at) it = prev;
+    }
+    if (it != shadow_.end() && it->first < end) {
+      out = Extent{it->first, it->second.len, it->second.seed,
+                   it->second.off};
+      found = true;
+      limit = it->first;
+    }
+  }
+  if (inline_extents_ == 0) return found;
+  for (std::size_t k = first_ring_after(at);
+       k < spans_.size() && spans_[k].base < limit; ++k) {
+    const SlotRing& g = rings_[spans_[k].ring];
+    if (g.live == 0) continue;
+    const std::uint64_t hi = std::min(limit, g.end);
+    for (std::uint64_t i = (std::max(at, g.base) - g.base) / g.slot_bytes;
+         g.base + i * g.slot_bytes < hi; ++i) {
+      const SlotExtent* hit = g.find(i);
+      if (hit == nullptr) continue;
+      const SlotExtent& e = *hit;
+      const std::uint64_t e_start = g.base + i * g.slot_bytes + e.at;
+      if (e_start + e.len <= at) continue;
+      // Extents lie inside their slots: later slots start later still.
+      if (e_start >= limit) return found;
+      out = Extent{e_start, e.len, e.seed, e.off};
+      return true;
+    }
+  }
+  return found;
 }
 
 void NodeMemory::dma_torn_write(std::uint64_t addr, const PayloadRef& p,
@@ -315,6 +429,14 @@ void NodeMemory::dma_torn_write(std::uint64_t addr, const PayloadRef& p,
 std::optional<std::uint64_t> NodeMemory::shadow_digest_at(
     std::uint64_t addr, std::uint64_t len) const {
   if (mode_ != ContentMode::kShadow || len == 0) return std::nullopt;
+  if (const SlotRing* g = ring_at(addr)) {
+    const std::uint64_t i = (addr - g->base) / g->slot_bytes;
+    const SlotExtent* e = g->find(i);
+    if (e != nullptr && g->base + i * g->slot_bytes + e->at == addr) {
+      if (e->len < len) return std::nullopt;
+      return shadow_digest(e->seed, e->off, len);
+    }
+  }
   const auto it = shadow_.find(addr);
   if (it == shadow_.end() || it->second.len < len) return std::nullopt;
   return shadow_digest(it->second.seed, it->second.off, len);

@@ -8,11 +8,13 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mem/buffer_pool.hpp"
 #include "mem/device.hpp"
 #include "mem/llc.hpp"
+#include "mem/zeroed_array.hpp"
 #include "sim/simulator.hpp"
 
 namespace prdma::mem {
@@ -63,11 +65,14 @@ struct NodeMemoryParams {
 /// Scatter-gather payload images (PayloadRef) take the *_payload
 /// entry points: byte extents follow the plain byte paths; shadow
 /// extents update only the shadow content plane (range -> generator
-/// map) with identical timing/accounting and no copies.
+/// extents) with identical timing/accounting and no copies.
 ///
 /// In kShadow, memory declared pristine (declare_pristine) that no
 /// byte store has touched since reads back as generated content too,
 /// so reading a never-written object moves no bytes (DESIGN.md §7.3).
+/// Rings of fixed-stride slots declared with declare_slots keep one
+/// shadow extent per slot inline in a flat table; the rest of the
+/// plane is an ordered map (DESIGN.md §7.3).
 class NodeMemory {
  public:
   static constexpr std::uint64_t kDramBase = 1ull << 40;
@@ -139,6 +144,32 @@ class NodeMemory {
   /// Declared ranges no byte store has clipped yet, as [start, end).
   [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& pristine() const {
     return pristine_;
+  }
+
+  // ---- slot rings ----
+
+  /// Declares [base, base + slots * slot_bytes) a ring of fixed-stride
+  /// slots (an object store, a redo-log ring, a staging window). A
+  /// shadow extent that lies inside one slot and is the first there is
+  /// then held in the ring's flat table: O(1) to find, and storing
+  /// into a cold slot allocates nothing. The table is zero pages until
+  /// touched. Extents crossing a slot boundary, a slot's second extent
+  /// and extents outside every ring stay in the ordered map, so what
+  /// the plane holds, and every read of it, is the same either way.
+  /// A no-op in kFull, for an empty ring, for 2^32 or more slots or
+  /// bytes per slot and for a ring overlapping one declared before
+  /// (re-declaring the same ring included); no device, LLC or counter
+  /// sees a declaration.
+  void declare_slots(std::uint64_t base, std::uint64_t slot_bytes,
+                     std::uint64_t slots);
+
+  /// Shadow extents held inline in declared slots.
+  [[nodiscard]] std::size_t inline_extent_count() const {
+    return inline_extents_;
+  }
+  /// Shadow extents held in the ordered map.
+  [[nodiscard]] std::size_t mapped_extent_count() const {
+    return shadow_.size();
   }
 
   // ---- scatter-gather payload paths ----
@@ -315,6 +346,102 @@ class NodeMemory {
 
   using ShadowMap = std::map<std::uint64_t, ShadowRange>;
 
+  /// A shadow extent held inline for its slot.
+  struct SlotExtent {
+    std::uint32_t at;  ///< start, as an offset into the slot
+    std::uint32_t len;
+    std::uint64_t seed;
+    std::uint64_t off;
+  };
+
+  /// A declared ring: slot i is [base + i*slot_bytes, +slot_bytes).
+  /// `index[i]` is 1 + the position of slot i's extent in `arena`, or
+  /// 0 when it has none. The arena is filled in first-touch order, so
+  /// the pages a run commits follow the number of slots it writes, not
+  /// how they are spread over the ring (both arrays are ZeroedArrays:
+  /// zeros, and no memory for large ones, until touched).
+  struct SlotRing {
+    std::uint64_t base;
+    std::uint64_t end;
+    std::uint64_t slot_bytes;
+    std::uint64_t live = 0;  ///< slots holding an extent
+    std::uint32_t used = 0;  ///< arena positions ever handed out
+    std::uint32_t free = 0;  ///< 1 + head of the recycled positions; 0: none
+    ZeroedArray<std::uint32_t> index;
+    ZeroedArray<SlotExtent> arena;
+
+    [[nodiscard]] const SlotExtent* find(std::uint64_t i) const {
+      const std::uint32_t k = index[i];
+      return k == 0 ? nullptr : &arena[k - 1];
+    }
+    [[nodiscard]] SlotExtent* find(std::uint64_t i) {
+      const std::uint32_t k = index[i];
+      return k == 0 ? nullptr : &arena[k - 1];
+    }
+    void put(std::uint64_t i, const SlotExtent& e) {
+      std::uint32_t k = free;
+      if (k != 0) {
+        free = static_cast<std::uint32_t>(arena[k - 1].seed);
+      } else {
+        k = ++used;
+      }
+      arena[k - 1] = e;
+      index[i] = k;
+      ++live;
+    }
+    void erase(std::uint64_t i) {
+      const std::uint32_t k = index[i];
+      arena[k - 1].seed = free;  // a recycled position links the next
+      free = k;
+      index[i] = 0;
+      --live;
+    }
+  };
+
+  /// A tracked extent, wherever it is held.
+  struct Extent {
+    std::uint64_t start;
+    std::uint64_t len;
+    std::uint64_t seed;
+    std::uint64_t off;
+  };
+
+  [[nodiscard]] bool shadow_empty() const {
+    return inline_extents_ == 0 && shadow_.empty();
+  }
+  /// Where a declared ring lies; `ring` indexes rings_.
+  struct RingSpan {
+    std::uint64_t base;
+    std::uint64_t end;
+    std::uint32_t ring;
+  };
+
+  /// Index into spans_ of the first ring ending past `addr`
+  /// (spans_.size(): none).
+  [[nodiscard]] std::size_t first_ring_after(std::uint64_t addr) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(spans_.begin(), spans_.end(), addr,
+                         [](std::uint64_t a, const RingSpan& g) {
+                           return a < g.end;
+                         }) -
+        spans_.begin());
+  }
+  /// The ring holding `addr`, or null.
+  [[nodiscard]] const SlotRing* ring_at(std::uint64_t addr) const {
+    const std::size_t k = first_ring_after(addr);
+    return k < spans_.size() && spans_[k].base <= addr
+               ? &rings_[spans_[k].ring]
+               : nullptr;
+  }
+  [[nodiscard]] SlotRing* ring_at(std::uint64_t addr) {
+    return const_cast<SlotRing*>(std::as_const(*this).ring_at(addr));
+  }
+  /// Of the extents that end past `at` and start before `end`, the one
+  /// that starts first; false when there is none.
+  bool next_extent(std::uint64_t at, std::uint64_t end, Extent& out) const;
+  /// Removes/clips the inline extents overlapping [addr, addr+len).
+  void trim_slots(std::uint64_t addr, std::uint64_t len);
+
   void write_bytes_nofire(std::uint64_t addr, std::span<const std::byte> data,
                           WritePath path, bool ddio);
   /// Lands one shadow extent (timing/accounting like a byte write of
@@ -322,8 +449,9 @@ class NodeMemory {
   void write_shadow_seg(std::uint64_t addr, std::uint64_t len,
                         std::uint64_t seed, std::uint64_t off, WritePath path,
                         bool ddio);
-  /// Removes/clips shadow extents overlapping [addr, addr+len); returns
-  /// the first extent at or past addr+len (an insertion hint).
+  /// Removes/clips shadow extents overlapping [addr, addr+len), inline
+  /// and mapped; returns the first mapped extent at or past addr+len
+  /// (an insertion hint).
   ShadowMap::iterator trim_shadow(std::uint64_t addr, std::uint64_t len);
   /// Inserts a shadow extent at `start` (no extent may overlap it),
   /// reusing a recycled map node when one is spare.
@@ -392,9 +520,16 @@ class NodeMemory {
   PmDevice pm_;
   DramDevice dram_;
   Llc llc_;
-  ShadowMap shadow_;  ///< kShadow plane
-  /// Recycled shadow-plane nodes: the steady-state payload overwrite
-  /// cycle performs no map allocations.
+  /// kShadow plane: declared rings hold one extent per slot inline, the
+  /// map holds every other extent. Rings stay in declaration order, so
+  /// declaring one moves no table; spans_ keeps them sorted by base
+  /// (they are disjoint).
+  std::vector<SlotRing> rings_;
+  std::vector<RingSpan> spans_;
+  std::size_t inline_extents_ = 0;
+  ShadowMap shadow_;
+  /// Recycled map nodes: the steady-state payload overwrite cycle
+  /// outside declared rings performs no map allocations.
   std::vector<ShadowMap::node_type> spare_shadow_;
   /// kShadow pristine set: disjoint, non-adjacent [start -> end)
   /// ranges, and their hull [lo, hi) (empty: [0, 0)).

@@ -99,6 +99,9 @@ void ReplicaSet::add_recovery_observer(std::function<void(std::size_t)> fn) {
 void ReplicaSet::crash_replica(std::size_t r, SimTime restart_delay) {
   assert(r < servers_.size());
   assert(restart_delay > 0 && "a crashed replica must come back");
+  // Refuse before the software teardown below: a caller that catches
+  // the error keeps a replica that is still up.
+  if (node_alive_[r]) cluster_.node(r).check_crashable();
   const std::uint64_t my_epoch = ++down_epoch_[r];
   server_up_[r] = false;
   up_[r]->reset();

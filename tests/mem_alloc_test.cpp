@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_util/micro.hpp"
+#include "core/durable_rpc.hpp"
 #include "core/node.hpp"
 #include "host/host.hpp"
 #include "mem/llc.hpp"
@@ -259,6 +260,77 @@ TEST(MemAlloc, FrameArenaReturnsEveryChunkAtTeardown) {
   EXPECT_EQ(g_allocs.load() - g_frees.load(), live0);
 }
 
+TEST(MemAlloc, FirstShadowStoreIntoAColdSlotIsAllocationFree) {
+  // A durable write lands its payload as a shadow extent in three slot
+  // rings their owners declare (DESIGN.md §7.3): the client's staging
+  // slot, the server's redo-log slot and the object's slot. Once a run
+  // is under way, the first shadow store into a slot of each that no
+  // write has reached yet allocates nothing: the extent goes into the
+  // ring's flat table. (The header and commit words around a staged or
+  // logged payload are byte stores, whose first landing in a block
+  // grows the devices' sparse byte planes; they are left out here.)
+  bench::MicroConfig cfg;
+  cfg.objects = 1024;
+  cfg.object_size = 4096;
+  cfg.read_ratio = 0.0;
+  cfg.clients = 1;
+  cfg.content_mode = ContentMode::kShadow;
+  const core::ModelParams params = bench::params_for(cfg);
+  core::Cluster cluster(params, 2);
+  const std::vector<std::size_t> client_nodes{1};
+  core::RpcDeployment dep = rpcs::make_deployment(
+      cluster, rpcs::System::kWFlushRpc, cfg.replication, client_nodes,
+      params);
+  auto& server = dynamic_cast<core::DurableRpcServer&>(*dep.server);
+  auto& client = dynamic_cast<core::DurableRpcClient&>(*dep.clients[0]);
+
+  // Eight writes to objects 0-7 take staging and log slots 0-7.
+  int ok = 0;
+  sim::spawn([](core::RpcClient& c, int& done) -> sim::Task<> {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const core::RpcResult r =
+          co_await c.call(core::RpcRequest{core::RpcOp::kWrite, i, 4096});
+      if (r.ok) ++done;
+    }
+  }(client, ok));
+  cluster.run();
+  ASSERT_EQ(ok, 8);
+
+  // Entry 9's slots in both rings, and object 900, are cold.
+  const std::uint64_t seq = client.next_seq();
+  const std::uint64_t stage =
+      client.staging_addr(seq) + core::LogLayout::kEntryHeaderBytes;
+  const std::uint64_t log =
+      server.log(client.conn_index()).layout().payload_addr(seq);
+  const std::uint64_t object = server.store().addr_of(900);
+  NodeMemory& smem = server.node().mem();
+  NodeMemory& cmem = cluster.node(1).mem();
+  PayloadRef payload = cmem.pool().acquire(0);
+  payload.buf()->append_shadow(4096, seq, 0);
+  // The LLC recycles the nodes of its dirty extents; flushed stores to
+  // three apart warm objects leave it a spare for each store below.
+  for (int k = 0; k < 2; ++k) {
+    for (const std::uint64_t obj : {0, 2, 4}) {
+      smem.cpu_write_payload(server.store().addr_of(obj), payload);
+    }
+    for (const std::uint64_t obj : {0, 2, 4}) {
+      (void)smem.clflush(0, server.store().addr_of(obj), 4096);
+    }
+  }
+  const std::size_t server_inline = smem.inline_extent_count();
+  const std::size_t client_inline = cmem.inline_extent_count();
+
+  const std::uint64_t before = g_allocs.load();
+  cmem.cpu_write_payload(stage, payload);
+  smem.dma_write_payload(log, payload, /*ddio=*/true);
+  smem.cpu_write_payload(object, smem.read_payload(log, 4096));
+  EXPECT_EQ(g_allocs.load() - before, 0u) << "a cold slot allocated";
+  EXPECT_EQ(cmem.inline_extent_count(), client_inline + 1);
+  EXPECT_EQ(smem.inline_extent_count(), server_inline + 2);
+  EXPECT_EQ(smem.mapped_extent_count() + cmem.mapped_extent_count(), 0u);
+  EXPECT_EQ(smem.shadow_digest_at(object, 4096), shadow_digest(seq, 0, 4096));
+}
+
 TEST(MemAlloc, WarmMirroredDurableWriteOverALossyFabricIsAllocationFree) {
   // The whole op path: a WFlush-RPC client mirrors every write to two
   // replicas over cables that drop 1 % of packets (go-back-N replays,
@@ -268,11 +340,10 @@ TEST(MemAlloc, WarmMirroredDurableWriteOverALossyFabricIsAllocationFree) {
   // its high-water mark an op allocates nothing. The one exception is
   // by design: the ledger keeps every transaction, in chunks that
   // double (two allocations each), so it is counted out explicitly.
-  // Writes cycle over eight objects so that the shadow plane's extent
-  // map, which still allocates a node whenever a write lands on an
-  // extent it has not seen (ROADMAP's shadow-plane item), is warm too.
+  // Every write goes to an object no write has reached before: the
+  // object slots' flat shadow tables take cold slots without a node.
   bench::MicroConfig cfg;
-  cfg.objects = 64;
+  cfg.objects = 1 << 14;
   cfg.object_size = 4096;
   cfg.read_ratio = 0.0;
   cfg.clients = 1;
@@ -304,7 +375,7 @@ TEST(MemAlloc, WarmMirroredDurableWriteOverALossyFabricIsAllocationFree) {
       }
       core::RpcRequest req;
       req.op = core::RpcOp::kWrite;
-      req.obj_id = static_cast<std::uint64_t>(i) % 8;
+      req.obj_id = static_cast<std::uint64_t>(i);
       req.len = 4096;
       const core::RpcResult r = co_await c.call(req);
       if (r.ok) ++done;

@@ -9,6 +9,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -1302,6 +1303,9 @@ class ContentRef {
     /// Declared pristine and no byte store since: shadow extents
     /// overlay a pristine range without removing it from the set.
     bool pristine = false;
+    /// kShadow: the store segment that landed the byte. A tracked
+    /// extent is a maximal run of one id (stores clip, never merge).
+    std::uint64_t ext = 0;
   };
 
   explicit ContentRef(std::size_t n) : cells_(n) {}
@@ -1343,10 +1347,12 @@ class ContentRef {
   }
 
   /// The segments an exact read of [a, a+n) reconstructs: maximal runs
-  /// of one owner and, for generated bytes, one contiguous stream.
+  /// of one owner and, for generated bytes, one contiguous stream of
+  /// one extent (pristine bytes: of the pristine set).
   [[nodiscard]] std::vector<PayloadSeg> expected_segs(std::uint64_t a,
                                                       std::uint64_t n) const {
     std::vector<PayloadSeg> out;
+    std::uint64_t last_ext = 0;
     for (std::uint64_t i = a; i < a + n; ++i) {
       const Cell& c = cells_.at(i);
       const bool gen = c.owner != Owner::kBytes;
@@ -1354,16 +1360,36 @@ class ContentRef {
         PayloadSeg& last = out.back();
         const bool last_gen = last.kind == PayloadSeg::Kind::kShadow;
         if (gen == last_gen &&
-            (!gen || (last.seed == c.seed && last.off + last.len == c.off))) {
+            (!gen || (last.seed == c.seed && last.off + last.len == c.off &&
+                      last_ext == c.ext))) {
           ++last.len;
           continue;
         }
       }
+      last_ext = c.ext;
       out.push_back(PayloadSeg{
           gen ? PayloadSeg::Kind::kShadow : PayloadSeg::Kind::kBytes, 1, 0,
           gen ? c.seed : 0, gen ? c.off : 0});
     }
     return out;
+  }
+
+  /// What NodeMemory::shadow_digest_at(a, n) returns: the digest of
+  /// the first n bytes of the extent starting at a, if there is one
+  /// and it is at least n long.
+  [[nodiscard]] std::optional<std::uint64_t> digest_at(std::uint64_t a,
+                                                       std::uint64_t n) const {
+    const Cell& c = cells_.at(a);
+    const auto same_extent = [&c](const Cell& o) {
+      return o.owner == Owner::kShadow && o.ext == c.ext;
+    };
+    if (c.owner != Owner::kShadow || (a > 0 && same_extent(cells_[a - 1]))) {
+      return std::nullopt;
+    }
+    std::uint64_t run = 0;
+    while (a + run < cells_.size() && same_extent(cells_[a + run])) ++run;
+    if (run < n) return std::nullopt;
+    return shadow_digest(c.seed, c.off, n);
   }
 
   /// Maximal pristine runs, as NodeMemory::pristine() reports them.
@@ -1386,17 +1412,20 @@ class ContentRef {
 
 using Owner = ContentRef::Owner;
 
-/// Reference cells of (a prefix of) a payload image as a store lands it.
+/// Reference cells of (a prefix of) a payload image as a store lands
+/// it. Every shadow segment lands as an extent of its own.
 std::vector<ContentRef::Cell> cells_of(const PayloadRef& p,
                                        std::uint64_t limit = UINT64_MAX) {
+  static std::uint64_t next_ext = 1;
   std::vector<ContentRef::Cell> out;
   for (const PayloadSeg& seg : p.segs()) {
+    const std::uint64_t ext = next_ext++;
     for (std::uint32_t i = 0; i < seg.len && out.size() < limit; ++i) {
       if (seg.kind == PayloadSeg::Kind::kBytes) {
         out.push_back({Owner::kBytes, true, p.buf()->seg_bytes(seg)[i], 0, 0});
       } else {
         out.push_back({Owner::kShadow, true, std::byte{0}, seg.seed,
-                       seg.off + i});
+                       seg.off + i, false, ext});
       }
     }
   }
@@ -1460,6 +1489,24 @@ std::vector<ContentRef::Cell> cells_of(const PayloadRef& p,
     at += g.len;
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Reference cells of a read_payload image of [src, ...) stored again.
+std::vector<ContentRef::Cell> copied_cells(const PayloadRef& img,
+                                           const ContentRef& ref,
+                                           std::uint64_t src) {
+  std::vector<ContentRef::Cell> cells = cells_of(img);
+  for (std::uint64_t i = 0; i < cells.size(); ++i) {
+    // A byte image carries unknown bytes wherever the source was
+    // generated content other than pristine zeros.
+    const ContentRef::Cell& c = ref.at(src + i);
+    cells[i].exact = cells[i].owner != Owner::kBytes ||
+                     c.owner != Owner::kShadow;
+    if (cells[i].owner == Owner::kBytes && c.owner == Owner::kBytes) {
+      cells[i].exact = c.exact;
+    }
+  }
+  return cells;
 }
 
 TEST(NodeMemoryPristine, MatchesPerByteReference) {
@@ -1566,19 +1613,8 @@ TEST(NodeMemoryPristine, MatchesPerByteReference) {
         ASSERT_TRUE(read_matches(img, ref, src, n))
             << "seed " << seed << " op " << op;
         tally(img);
-        std::vector<ContentRef::Cell> cells = cells_of(img);
-        for (std::uint64_t i = 0; i < n; ++i) {
-          // A byte image carries unknown bytes wherever the source was
-          // generated content other than pristine zeros.
-          const ContentRef::Cell& c = ref.at(src + i);
-          cells[i].exact = cells[i].owner != Owner::kBytes ||
-                           c.owner != Owner::kShadow;
-          if (cells[i].owner == Owner::kBytes && c.owner == Owner::kBytes) {
-            cells[i].exact = c.exact;
-          }
-        }
         mem.cpu_write_payload(dst, img);
-        ref.store(dst, cells, true);
+        ref.store(dst, copied_cells(img, ref, src), true);
       } else if (kind == 6) {
         const auto [a, n] = random_range(4000);
         (void)mem.clflush(0, a, n);
@@ -1708,6 +1744,285 @@ TEST(NodeMemoryPristine, FullModeDeclarationIsANoOp) {
   EXPECT_EQ(mem.pm().bytes_copied(), copied0 + 4096) << "kFull reads copy";
   ASSERT_TRUE(r.contiguous_bytes());
   EXPECT_EQ(as_vector(r.bytes()), std::vector<std::byte>(4096));
+}
+
+// ------------------------------------------------------------ slot rings
+
+/// Same segments (kind, length, generator, offset) and same bytes.
+::testing::AssertionResult same_image(const PayloadRef& a,
+                                      const PayloadRef& b) {
+  if (a.size() != b.size() || a.seg_count() != b.seg_count()) {
+    return ::testing::AssertionFailure()
+           << a.size() << " bytes in " << a.seg_count() << " segments vs "
+           << b.size() << " in " << b.seg_count();
+  }
+  for (std::size_t k = 0; k < a.seg_count(); ++k) {
+    const PayloadSeg& x = a.segs()[k];
+    const PayloadSeg& y = b.segs()[k];
+    if (x.kind != y.kind || x.len != y.len || x.seed != y.seed ||
+        x.off != y.off) {
+      return ::testing::AssertionFailure()
+             << "segment " << k << ": kind " << static_cast<int>(x.kind)
+             << " len " << x.len << " seed " << x.seed << " off " << x.off
+             << " vs kind " << static_cast<int>(y.kind) << " len " << y.len
+             << " seed " << y.seed << " off " << y.off;
+    }
+    if (x.kind == PayloadSeg::Kind::kBytes &&
+        as_vector(a.buf()->seg_bytes(x)) != as_vector(b.buf()->seg_bytes(y))) {
+      return ::testing::AssertionFailure() << "bytes of segment " << k;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(NodeMemorySlots, MatchesTheMapAndThePerByteReference) {
+  // Twins fed the same seeded stores: `slots` declares two slot rings
+  // (one of odd-sized, misaligned slots partly declared pristine, like
+  // an object store; one of line-sized slots, like a log ring), `plain`
+  // declares none and so keeps every extent in the ordered map. After
+  // every step the twins must return the same read_payload image
+  // (segments and bytes), the same shadow_digest_at and the same
+  // bytes_copied, and both must match the per-byte reference.
+  constexpr std::uint64_t kWindow = 16 * 1024;
+  std::uint64_t inline_seen = 0;
+  std::uint64_t mapped_seen = 0;
+  std::uint64_t digests_found = 0;
+  std::uint64_t fallback_reads = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    OpRng rng{seed};
+    Simulator sim;
+    NodeMemoryParams params = small_params(ContentMode::kShadow);
+    params.llc.capacity_lines = 4 + rng.below(28);
+    NodeMemory slots(sim, params);
+    NodeMemory plain(sim, params);
+    ContentRef ref(kWindow);
+
+    const std::uint64_t stride = 200 + rng.below(400);
+    const std::uint64_t ring = 1000 + rng.below(64);
+    constexpr std::uint64_t kRingSlots = 12;
+    slots.declare_slots(ring, stride, kRingSlots);
+    slots.declare_slots(9000, 256, 16);
+    slots.declare_slots(9000, 256, 16);  // re-declared: ignored
+    slots.declare_slots(9100, 64, 4);    // overlapping: ignored
+    for (NodeMemory* m : {&slots, &plain}) {
+      m->declare_pristine(ring, stride * kRingSlots / 2);
+      m->declare_pristine(14000, 1500);
+    }
+    ref.declare_pristine(ring, stride * kRingSlots / 2);
+    ref.declare_pristine(14000, 1500);
+
+    const auto slot_addr = [&] {
+      return rng.below(2) == 0 ? ring + rng.below(kRingSlots) * stride
+                               : 9000 + rng.below(16) * 256;
+    };
+    std::uint64_t next_seed = 1000;
+    // Starts and lengths of recent shadow stores: targets of exact
+    // overwrites and of digest probes.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> stored;
+    const auto note = [&](std::uint64_t a, const PayloadRef& p) {
+      std::uint64_t at = a;
+      for (const PayloadSeg& seg : p.segs()) {
+        if (seg.kind == PayloadSeg::Kind::kShadow && at < kWindow) {
+          stored.emplace_back(at, seg.len);
+        }
+        at += seg.len;
+      }
+      if (stored.size() > 64) stored.erase(stored.begin());
+    };
+    const auto random_range = [&](std::uint64_t max_len) {
+      const std::uint64_t a = rng.below(kWindow - 1);
+      const std::uint64_t n =
+          1 + rng.below(std::min<std::uint64_t>(kWindow - a, max_len));
+      return std::pair{a, n};
+    };
+    const auto random_image = [&](std::uint64_t n) {
+      PayloadRef p = slots.pool().acquire(n);
+      std::uint64_t left = n;
+      for (std::uint32_t k = 0; k < 3 && left > 0; ++k) {
+        const std::uint64_t len = k == 2 ? left : 1 + rng.below(left);
+        if (rng.below(2) == 0) {
+          p.buf()->append_bytes(pattern(len, static_cast<int>(rng.below(200))));
+        } else {
+          p.buf()->append_shadow(static_cast<std::uint32_t>(len), next_seed++,
+                                 rng.below(1 << 20));
+        }
+        left -= len;
+      }
+      return p;
+    };
+    // Header bytes, a shadow interior, a commit word: a log entry.
+    const auto entry_image = [&](std::uint64_t len) {
+      const std::uint64_t hdr = 16 * (1 + rng.below(4));
+      PayloadRef p = slots.pool().acquire(hdr + 8);
+      p.buf()->append_bytes(pattern(hdr, static_cast<int>(rng.below(200))));
+      p.buf()->append_shadow(static_cast<std::uint32_t>(len), next_seed++, 0);
+      p.buf()->append_bytes(pattern(8, static_cast<int>(rng.below(200))));
+      return p;
+    };
+    // Lands `img` at `a` on both twins by one of the four paths.
+    const auto store = [&](std::uint64_t a, const PayloadRef& img) {
+      const std::uint64_t path = rng.below(4);
+      for (NodeMemory* m : {&slots, &plain}) {
+        if (path >= 2) (void)m->clflush(0, a, img.size());
+        if (path == 0) m->cpu_write_payload(a, img);
+        if (path == 1) m->dma_write_payload(a, img, /*ddio=*/true);
+        if (path == 2) m->dma_write_payload(a, img, /*ddio=*/false);
+        if (path == 3) m->poke_payload_pm(a, img);
+      }
+      ref.store(a, cells_of(img), path <= 1);
+      note(a, img);
+    };
+    const auto read_both = [&](std::uint64_t a, std::uint64_t n,
+                               int op) -> PayloadRef {
+      const PayloadRef got = slots.read_payload(a, n);
+      EXPECT_TRUE(same_image(got, plain.read_payload(a, n)))
+          << "seed " << seed << " op " << op << " read " << a << "+" << n;
+      EXPECT_TRUE(read_matches(got, ref, a, n))
+          << "seed " << seed << " op " << op;
+      if (ref.expected_segs(a, n).size() > PayloadBuf::kMaxSegs) {
+        ++fallback_reads;
+      }
+      return got;
+    };
+
+    for (int op = 0; op < 500; ++op) {
+      const std::uint64_t kind = rng.below(10);
+      if (kind <= 1) {  // a log entry into a slot, often the same length
+        const std::uint64_t len = kind == 0 ? 96 : 8 + rng.below(150);
+        store(slot_addr(), entry_image(len));
+      } else if (kind == 2 && !stored.empty()) {  // exact overwrite
+        const auto [a, len] = stored[rng.below(stored.size())];
+        PayloadRef img = slots.pool().acquire(0);
+        img.buf()->append_shadow(static_cast<std::uint32_t>(len), next_seed++,
+                                 rng.below(1 << 20));
+        store(a, img);
+      } else if (kind == 3) {  // anywhere, across slot boundaries
+        const auto [a, n] = random_range(1500);
+        store(a, random_image(n));
+      } else if (kind == 4) {  // byte store, misaligned
+        const auto [a, n] = random_range(200);
+        const auto data = pattern(n, static_cast<int>(rng.below(200)));
+        const bool cpu = rng.below(2) == 0;
+        for (NodeMemory* m : {&slots, &plain}) {
+          if (cpu) {
+            m->cpu_write(a, data);
+          } else {
+            (void)m->clflush(0, a, n);
+            m->dma_write(a, data, /*ddio=*/false);
+          }
+        }
+        ref.store(a, cells_of(slots.pool().make_bytes(data)), cpu);
+      } else if (kind == 5) {  // torn landing of an in-flight DMA
+        const std::uint64_t a =
+            rng.below(2) == 0 ? slot_addr() : rng.below(kWindow - 2000);
+        const PayloadRef img = random_image(1 + rng.below(1500));
+        const std::uint64_t persisted = rng.below(img.size() + 1);
+        for (NodeMemory* m : {&slots, &plain}) {
+          (void)m->clflush(0, a, img.size());
+          m->dma_torn_write(a, img, img.size(), persisted);
+        }
+        ref.store(a, cells_of(img, line_down(persisted)), false);
+      } else if (kind == 6) {  // slot -> slot copy, as apply_write
+        const std::uint64_t src = slot_addr();
+        const std::uint64_t dst = slot_addr();
+        const std::uint64_t n = 1 + rng.below(std::min<std::uint64_t>(
+                                        stride, kWindow - std::max(src, dst)));
+        const PayloadRef img = read_both(src, n, op);
+        for (NodeMemory* m : {&slots, &plain}) m->cpu_write_payload(dst, img);
+        ref.store(dst, copied_cells(img, ref, src), true);
+        note(dst, img);
+      } else if (kind == 7) {
+        const auto [a, n] = random_range(4000);
+        for (NodeMemory* m : {&slots, &plain}) (void)m->clflush(0, a, n);
+      }
+
+      // Reads over a slot and over anywhere, then digests.
+      const std::uint64_t s = slot_addr();
+      (void)read_both(s, std::min<std::uint64_t>(stride + 64, kWindow - s),
+                      op);
+      const auto [a, n] = random_range(3000);
+      (void)read_both(a, n, op);
+      for (int probe = 0; probe < 4; ++probe) {
+        std::uint64_t at = rng.below(kWindow);
+        std::uint64_t len = 1 + rng.below(300);
+        if (probe < 2 && !stored.empty()) {
+          const auto& e = stored[rng.below(stored.size())];
+          at = e.first;
+          len = probe == 0 ? e.second : 1 + rng.below(e.second + 8);
+        }
+        const auto want = ref.digest_at(at, len);
+        EXPECT_EQ(slots.shadow_digest_at(at, len), want)
+            << "seed " << seed << " op " << op << " digest at " << at;
+        EXPECT_EQ(plain.shadow_digest_at(at, len), want);
+        if (want.has_value()) ++digests_found;
+      }
+      ASSERT_EQ(slots.pm().bytes_copied(), plain.pm().bytes_copied())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(slots.pristine(), ref.pristine());
+      ASSERT_EQ(plain.pristine(), ref.pristine());
+      ASSERT_EQ(plain.inline_extent_count(), 0u);
+      inline_seen += slots.inline_extent_count();
+      mapped_seen += slots.mapped_extent_count();
+      if (HasFailure()) return;
+    }
+  }
+  // The mix must reach every representation and every answer.
+  EXPECT_GT(inline_seen, 5000u);
+  EXPECT_GT(mapped_seen, 5000u);
+  EXPECT_GT(digests_found, 1000u);
+  EXPECT_GT(fallback_reads, 10u);
+}
+
+TEST(NodeMemorySlots, FullModeDeclarationIsANoOp) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kFull));
+  mem.declare_slots(0, 4096, 16);
+  PayloadRef img = mem.pool().acquire(0);
+  img.buf()->append_shadow(1000, /*seed=*/5, /*off=*/0);
+  mem.cpu_write_payload(64, img);
+  EXPECT_EQ(mem.inline_extent_count(), 0u);
+  EXPECT_FALSE(mem.shadow_digest_at(64, 1000).has_value());
+}
+
+TEST(NodeMemorySlots, FirstExtentOfASlotIsHeldInline) {
+  Simulator sim;
+  NodeMemory mem(sim, small_params(ContentMode::kShadow));
+  mem.declare_slots(4096, 1024, 8);
+  const auto shadow = [&](std::uint64_t a, std::uint32_t len,
+                          std::uint64_t seed) {
+    PayloadRef img = mem.pool().acquire(0);
+    img.buf()->append_shadow(len, seed, 0);
+    mem.cpu_write_payload(a, img);
+  };
+  shadow(4096 + 64, 512, 1);  // first extent of slot 0
+  EXPECT_EQ(mem.inline_extent_count(), 1u);
+  EXPECT_EQ(mem.mapped_extent_count(), 0u);
+  shadow(4096 + 64, 512, 2);  // exact overwrite: in place
+  EXPECT_EQ(mem.inline_extent_count(), 1u);
+  EXPECT_EQ(mem.shadow_digest_at(4096 + 64, 512), shadow_digest(2, 0, 512));
+  shadow(4096 + 700, 100, 3);  // a second extent in slot 0
+  EXPECT_EQ(mem.mapped_extent_count(), 1u);
+  shadow(4096 + 1000, 100, 4);  // crosses into slot 1
+  EXPECT_EQ(mem.mapped_extent_count(), 2u);
+  shadow(64, 100, 5);  // outside the ring
+  EXPECT_EQ(mem.mapped_extent_count(), 3u);
+  // A byte store into the middle of the inline extent keeps its head
+  // inline and moves its tail to the map, stream offset advanced.
+  mem.cpu_write(4096 + 200, pattern(8));
+  EXPECT_EQ(mem.inline_extent_count(), 1u);
+  EXPECT_EQ(mem.mapped_extent_count(), 4u);
+  EXPECT_EQ(mem.shadow_digest_at(4096 + 64, 136), shadow_digest(2, 0, 136));
+  EXPECT_FALSE(mem.shadow_digest_at(4096 + 64, 137).has_value());
+  EXPECT_EQ(mem.shadow_digest_at(4096 + 208, 368), shadow_digest(2, 144, 368));
+  const PayloadRef r = mem.read_payload(4096, 1024);
+  // Bytes, head, the stored bytes, tail, bytes, extent 3, bytes and
+  // the part of extent 4 inside slot 0.
+  ASSERT_EQ(r.seg_count(), 8u);
+  EXPECT_EQ(r.segs()[1].len, 136u);
+  EXPECT_EQ(r.segs()[3].off, 144u);
+  EXPECT_EQ(r.segs()[5].seed, 3u);
+  EXPECT_EQ(r.segs()[7].seed, 4u);
+  EXPECT_EQ(r.segs()[7].len, 24u);
 }
 
 }  // namespace

@@ -240,6 +240,15 @@ TEST(Repl, ShadowContentModeRefusesCrashInjection) {
   mc.content_mode = mem::ContentMode::kShadow;
   Fixture f(mc);
   EXPECT_THROW(f.set->crash_replica(0, sim::kMillisecond), std::logic_error);
+  // Refused before any teardown: the replica is still up and serving.
+  EXPECT_TRUE(f.set->up_event(0).is_set());
+  EXPECT_EQ(f.set->crashes(), 0u);
+  std::vector<RpcResult> results;
+  bool done = false;
+  sim::spawn(write_serial(*f.client, 3, results, done));
+  f.cluster.sim().run();
+  ASSERT_TRUE(done) << "a write after the refused crash must complete";
+  for (const auto& r : results) EXPECT_TRUE(r.ok);
 }
 
 TEST(Repl, PartitionedMirrorRefusesCrashInjection) {
@@ -258,6 +267,14 @@ TEST(Repl, PartitionedMirrorRefusesCrashInjection) {
   auto* set = dynamic_cast<ReplicaSet*>(dep.server.get());
   ASSERT_NE(set, nullptr);
   EXPECT_THROW(set->crash_replica(0, sim::kMillisecond), std::logic_error);
+  EXPECT_TRUE(set->up_event(0).is_set());
+  EXPECT_EQ(set->crashes(), 0u);
+  std::vector<RpcResult> results;
+  bool done = false;
+  sim::spawn(write_serial(*dep.clients.front(), 3, results, done));
+  cluster.run();
+  ASSERT_TRUE(done) << "a write after the refused crash must complete";
+  for (const auto& r : results) EXPECT_TRUE(r.ok);
 }
 
 TEST(Repl, ShadowModeIsTimingIdenticalAndCopiesFewerBytes) {
