@@ -22,7 +22,8 @@
 // ascending size, so the 512-host row's figure is that cell's peak).
 //
 // Flags: --ops-per-host=N (default 64; --quick: 16), --seed=N, --pfc,
-//        --out=PATH (default BENCH_topology.json), --quick
+//        --out=PATH (default BENCH_topology.json), --json=PATH (the
+//        same document, also written there), --quick
 
 #include <sys/resource.h>
 
@@ -117,7 +118,8 @@ int main(int argc, char** argv) {
   const std::uint64_t ops_per_host = flags.u64("ops-per-host", quick ? 16 : 64);
   const std::uint64_t seed = flags.u64("seed", 1);
   const bool pfc = flags.flag("pfc");
-  const std::string out = flags.str("out", "BENCH_topology.json");
+  const std::vector<std::string> outs =
+      flags.record_paths("BENCH_topology.json");
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf(
@@ -403,10 +405,12 @@ int main(int argc, char** argv) {
       .set("loss_sweep", std::move(loss_rows))
       .set("loss_ok", bench::Json::boolean(loss_ok))
       .set("deterministic", bench::Json::boolean(deterministic));
-  if (!bench::emit_json(out, doc)) {
-    std::printf("failed to open %s for writing\n", out.c_str());
-    return 2;
+  for (const std::string& out : outs) {
+    if (!bench::emit_json(out, doc)) {
+      std::printf("failed to open %s for writing\n", out.c_str());
+      return 2;
+    }
+    std::printf("wrote %s\n", out.c_str());
   }
-  std::printf("wrote %s\n", out.c_str());
   return ok ? 0 : 1;
 }

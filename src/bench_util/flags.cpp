@@ -1,6 +1,7 @@
 #include "bench_util/flags.hpp"
 
 #include <iostream>
+#include <utility>
 
 namespace prdma::bench {
 
@@ -66,6 +67,13 @@ bool Flags::flag(const std::string& key) const { return kv_.contains(key); }
 std::string Flags::str(const std::string& key, std::string def) const {
   const auto it = kv_.find(key);
   return it == kv_.end() ? std::move(def) : it->second;
+}
+
+std::vector<std::string> Flags::record_paths(std::string default_out) const {
+  std::vector<std::string> paths{str("out", std::move(default_out))};
+  std::string json = str("json", "");
+  if (!json.empty() && json != paths.front()) paths.push_back(std::move(json));
+  return paths;
 }
 
 std::string Flags::usage(const std::string& argv0) const {

@@ -38,6 +38,12 @@ class Flags {
   [[nodiscard]] std::string str(const std::string& key,
                                 std::string def) const;
 
+  /// The files a bench that writes one record document writes it to:
+  /// `--out` (default `default_out`), then `--json` when it is given
+  /// and names another file.
+  [[nodiscard]] std::vector<std::string> record_paths(
+      std::string default_out) const;
+
   // ---- generated help ----
 
   [[nodiscard]] bool help_requested() const { return flag("help"); }

@@ -67,9 +67,10 @@ Task<> write_driver(core::DurableRpcClient& client, Harness& h,
 /// Waits for the crash, brings the server back and reopens the gate.
 Task<> recovery_loop(const ServerUnderTest& sut, Harness& h,
                      sim::Event& crashed, SimTime restart_delay) {
-  // A named local, not `if (!co_await crashed.wait()) co_return;`:
+  // A named local, not the wait negated inside the `if` condition:
   // GCC 12.2 miscompiles that form in some coroutines. Here the server
   // never restarted after the crash, and explore() died on SIGILL.
+  // CI's tier1 job rejects the form anywhere in src/ and tests/.
   const bool fired = co_await crashed.wait();
   if (!fired) co_return;
   co_await restart_server(sut, restart_delay);

@@ -96,8 +96,8 @@ Task<> orchestrator(const check::ServerUnderTest& sut, Harness& h,
                     FailureRunConfig cfg, FailureRunResult& out) {
   auto* durable_server = dynamic_cast<core::DurableRpcServer*>(&sut.server);
   for (std::uint32_t i = 0; i < cfg.crashes; ++i) {
-    // Named local, not `if (!co_await ...)`: see recovery_loop in
-    // check/explorer.cpp.
+    // A named local, not a negated co_await inside the `if`: see
+    // recovery_loop in check/explorer.cpp.
     const bool triggered = co_await h.crash_trigger->wait();
     if (!triggered) break;
     h.crash_trigger->reset();

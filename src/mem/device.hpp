@@ -1,7 +1,7 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +9,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -48,24 +49,24 @@ struct DeviceTiming {
 /// completes; the timing plane serializes accesses against the
 /// device's bandwidth.
 ///
-/// The byte plane is sparse (DESIGN.md §7.3): content lives in 256 B
-/// blocks found through a two-level index — a top array with one entry
-/// per 256 KiB of address space, whose leaves are allocated on the
-/// first store into their range. A block that was never stored reads
-/// as zeros, so a device costs memory in proportion to the bytes
-/// stored into it, not to its capacity.
+/// The byte plane is sparse and line-granular (DESIGN.md §7.3): each
+/// 64 B line stored into lives in an arena of lines, found through one
+/// open-addressed table keyed by line index (linear probing, Fibonacci
+/// hashing). The table is allocated on the device's first store and
+/// doubles before a store would fill more than half of it. A line
+/// never stored reads as zeros, so a device costs memory in proportion
+/// to the lines stored into it, not to its capacity, and an untouched
+/// device costs nothing. A multi-line access probes once per line and
+/// copies each run of lines that lie back to back in the arena with
+/// one memcpy.
 class Device {
  public:
-  static constexpr std::uint64_t kBlockBytes = 256;
-  static constexpr std::uint64_t kLeafBytes = 256 * 1024;
-
   Device(sim::Simulator& sim, std::string name, std::uint64_t capacity,
          DeviceTiming timing)
       : sim_(sim),
         name_(std::move(name)),
         timing_(timing),
-        capacity_(capacity),
-        leaves_((capacity + kLeafBytes - 1) / kLeafBytes) {}
+        capacity_(capacity) {}
 
   virtual ~Device() = default;
   Device(const Device&) = delete;
@@ -87,13 +88,12 @@ class Device {
     bytes_written_ += data.size();
     bytes_copied_ += data.size();
     if (data.empty()) return;
-    const std::uint64_t off = addr & kBlockMask;
-    if (off + data.size() <= kBlockBytes) {  // one block: the common case
-      std::memcpy(block_for_store(addr >> kBlockShift) + off, data.data(),
-                  data.size());
-      return;
-    }
-    store_blocks(addr, data);
+    for_each_run(
+        addr, data.size(),
+        [this](std::uint64_t line) { return line_for_store(line); },
+        [&](std::byte* p, std::uint64_t pos, std::uint64_t len) {
+          std::memcpy(p, data.data() + pos, len);
+        });
   }
 
   /// Content-elided store (ContentMode::kShadow payload interiors):
@@ -108,21 +108,29 @@ class Device {
     assert(addr + out.size() <= capacity_);
     bytes_copied_ += out.size();
     if (out.empty()) return;
-    const std::uint64_t off = addr & kBlockMask;
-    if (off + out.size() <= kBlockBytes) {
-      const std::byte* b = stored_block(addr >> kBlockShift);
-      if (b != nullptr) {
-        std::memcpy(out.data(), b + off, out.size());
-      } else {
-        std::memset(out.data(), 0, out.size());
-      }
-      return;
-    }
-    load_blocks(addr, out);
+    for_each_run(
+        addr, out.size(),
+        [this](std::uint64_t line) -> const std::byte* {
+          return slots_ == 0 ? nullptr : probe(line).ptr;  // null: unstored
+        },
+        [&](const std::byte* p, std::uint64_t pos, std::uint64_t len) {
+          if (p != nullptr) {
+            std::memcpy(out.data() + pos, p, len);
+          } else {
+            std::memset(out.data() + pos, 0, len);
+          }
+        });
   }
 
-  /// Blocks that hold stored bytes (each kBlockBytes of host memory).
-  [[nodiscard]] std::uint64_t stored_blocks() const { return stored_blocks_; }
+  /// Lines that hold stored bytes.
+  [[nodiscard]] std::uint64_t stored_lines() const { return stored_lines_; }
+
+  /// Host bytes the byte plane holds: the line arena and the table.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    std::size_t n = slots_ * sizeof(Slot) + chunks_.capacity() * sizeof(Chunk);
+    for (const Chunk& c : chunks_) n += std::size_t{c.cap} * kCacheLine;
+    return n;
+  }
 
   // --- timing plane ---
 
@@ -165,132 +173,127 @@ class Device {
   [[nodiscard]] const DeviceTiming& timing() const { return timing_; }
 
  protected:
-  /// Zeros every stored block — all a volatile device's content.
+  /// Zeros every stored line — all a volatile device's content.
   void zero_content() {
     for (const Chunk& c : chunks_) {
-      std::memset(c.mem.get(), 0, c.used * kBlockBytes);
+      std::memset(c.mem.get(), 0, c.used * kCacheLine);
     }
   }
 
   sim::Simulator& sim_;
 
  private:
-  static constexpr unsigned kBlockShift = 8;
-  static constexpr std::uint64_t kBlockMask = kBlockBytes - 1;
-  static constexpr unsigned kLeafShift = 18;
-  static constexpr std::uint64_t kLeafBlocks = kLeafBytes / kBlockBytes;
-  static_assert(kBlockBytes == std::uint64_t{1} << kBlockShift);
-  static_assert(kLeafBytes == std::uint64_t{1} << kLeafShift);
-  /// Block arena chunks start at 16 blocks (4 KiB) and double up to
-  /// 256 blocks (64 KiB): a device that stores a few headers holds a
-  /// few KiB, one that stores payloads allocates rarely.
-  static constexpr std::uint32_t kFirstChunkBlocks = 16;
-  static constexpr std::uint32_t kMaxChunkBlocks = 256;
+  static constexpr unsigned kLineShift = 6;
+  static constexpr std::uint64_t kLineMask = kCacheLine - 1;
+  static_assert(kCacheLine == std::uint64_t{1} << kLineShift);
+  /// The first table (2 KiB) and chunk (4 KiB) fit the few dozen
+  /// header, commit-word and flag lines of a client host, so such a
+  /// device allocates twice. Chunks double up to 1 024 lines (64 KiB):
+  /// a device that stores payloads allocates rarely.
+  static constexpr std::size_t kFirstTableSlots = 128;
+  static constexpr std::uint32_t kFirstChunkLines = 64;
+  static constexpr std::uint32_t kMaxChunkLines = 1024;
 
-  struct Leaf {
-    std::byte* block[kLeafBlocks] = {};
+  /// A table slot: line index `line` is stored at `ptr` (null: empty).
+  struct Slot {
+    std::uint64_t line;
+    std::byte* ptr;
   };
   struct Chunk {
     std::unique_ptr<std::byte[]> mem;
-    std::uint32_t used;  ///< blocks handed out from the front
+    std::uint32_t used;  ///< lines handed out from the front
     std::uint32_t cap;
   };
 
-  /// One slot of the lookup cache: block `blk` is at `ptr` (null: not
-  /// stored). Stores refresh the slot they allocate through, so an
-  /// entry never goes stale.
-  struct CacheEntry {
-    std::uint64_t blk = UINT64_MAX;
-    std::byte* ptr = nullptr;
-  };
-  static constexpr std::size_t kCacheSlots = 64;
-
-  CacheEntry& cache_slot(std::uint64_t blk) const {
-    return cache_[(blk ^ (blk >> 6) ^ (blk >> 12)) & (kCacheSlots - 1)];
+  /// Walks the `n` > 0 bytes at `addr` line by line, `line_at(line)`
+  /// giving each line's storage (null: none), and calls
+  /// `fn(ptr, pos, len)` for bytes [pos, pos + len) once per run of
+  /// lines that lie back to back in the arena (or are all unstored),
+  /// so a payload stored in one go moves in one memcpy.
+  template <typename LineAt, typename Fn>
+  static void for_each_run(std::uint64_t addr, std::uint64_t n,
+                           const LineAt& line_at, const Fn& fn) {
+    const std::uint64_t off = addr & kLineMask;
+    auto* run = line_at(addr >> kLineShift);
+    if (run != nullptr) run += off;
+    std::uint64_t pos = 0;
+    std::uint64_t len = std::min(n, kCacheLine - off);
+    while (pos + len < n) {
+      auto* next = line_at((addr + pos + len) >> kLineShift);
+      const std::uint64_t k = std::min(n - pos - len, kCacheLine);
+      if (run == nullptr ? next == nullptr : next == run + len) {
+        len += k;
+        continue;
+      }
+      fn(run, pos, len);
+      pos += len;
+      run = next;
+      len = k;
+    }
+    fn(run, pos, len);
   }
 
-  /// The stored block `blk` (address >> kBlockShift), or null.
-  const std::byte* stored_block(std::uint64_t blk) const {
-    CacheEntry& e = cache_slot(blk);
-    if (e.blk == blk) return e.ptr;
-    const Leaf* leaf = leaves_[blk >> (kLeafShift - kBlockShift)].get();
-    e.blk = blk;
-    e.ptr = leaf != nullptr ? leaf->block[blk & (kLeafBlocks - 1)] : nullptr;
-    return e.ptr;
+  /// The slot holding `line`, or the empty slot where it would go.
+  /// The table must exist.
+  Slot& probe(std::uint64_t line) const {
+    const std::size_t mask = slots_ - 1;
+    for (std::size_t i = (line * 0x9E3779B97F4A7C15ull) >> shift_;;
+         i = (i + 1) & mask) {
+      Slot& s = table_[i];
+      if (s.ptr == nullptr || s.line == line) return s;
+    }
   }
 
-  /// Block `blk`, allocated (zeroed) by this first store if need be.
-  std::byte* block_for_store(std::uint64_t blk) {
-    CacheEntry& e = cache_slot(blk);
-    if (e.blk == blk && e.ptr != nullptr) return e.ptr;
-    auto& leaf = leaves_[blk >> (kLeafShift - kBlockShift)];
-    if (leaf == nullptr) leaf = std::make_unique<Leaf>();
-    std::byte*& b = leaf->block[blk & (kLeafBlocks - 1)];
-    if (b == nullptr) b = new_block();
-    e.blk = blk;
-    e.ptr = b;
-    return b;
+  /// Line `line`, allocated (zeroed) by this first store if need be.
+  std::byte* line_for_store(std::uint64_t line) {
+    Slot* s = slots_ != 0 ? &probe(line) : nullptr;
+    if (s != nullptr && s->ptr != nullptr) return s->ptr;
+    if (2 * (stored_lines_ + 1) > slots_) {
+      grow();
+      s = &probe(line);
+    }
+    *s = Slot{line, new_line()};
+    return s->ptr;
   }
 
-  std::byte* new_block() {
+  /// Allocates the table, or doubles it and re-inserts every line.
+  void grow() {
+    const std::size_t n = slots_ == 0 ? kFirstTableSlots : 2 * slots_;
+    const std::unique_ptr<Slot[]> old =
+        std::exchange(table_, std::make_unique<Slot[]>(n));
+    const std::size_t old_slots = std::exchange(slots_, n);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
+    for (std::size_t i = 0; i < old_slots; ++i) {
+      if (old[i].ptr != nullptr) probe(old[i].line) = old[i];
+    }
+  }
+
+  std::byte* new_line() {
     if (chunks_.empty() || chunks_.back().used == chunks_.back().cap) {
       const std::uint32_t cap =
-          chunks_.empty()
-              ? kFirstChunkBlocks
-              : std::min(2 * chunks_.back().cap, kMaxChunkBlocks);
-      // Default-initialized: each block is zeroed when handed out, so
+          chunks_.empty() ? kFirstChunkLines
+                          : std::min(2 * chunks_.back().cap, kMaxChunkLines);
+      // Default-initialized: each line is zeroed when handed out, so
       // the untouched tail of a chunk stays unfaulted.
       chunks_.push_back(Chunk{
-          std::unique_ptr<std::byte[]>(new std::byte[cap * kBlockBytes]), 0,
+          std::unique_ptr<std::byte[]>(new std::byte[cap * kCacheLine]), 0,
           cap});
     }
     Chunk& c = chunks_.back();
-    std::byte* b = c.mem.get() + std::uint64_t{c.used++} * kBlockBytes;
-    std::memset(b, 0, kBlockBytes);
-    ++stored_blocks_;
+    std::byte* b = c.mem.get() + std::uint64_t{c.used++} * kCacheLine;
+    std::memset(b, 0, kCacheLine);
+    ++stored_lines_;
     return b;
-  }
-
-  /// Multi-block store/load, one block-sized piece at a time.
-  void store_blocks(std::uint64_t addr, std::span<const std::byte> data) {
-    const std::byte* src = data.data();
-    for (std::uint64_t n = data.size(); n > 0;) {
-      const std::uint64_t off = addr & kBlockMask;
-      const std::uint64_t k = std::min(n, kBlockBytes - off);
-      std::memcpy(block_for_store(addr >> kBlockShift) + off, src, k);
-      addr += k;
-      src += k;
-      n -= k;
-    }
-  }
-
-  void load_blocks(std::uint64_t addr, std::span<std::byte> out) const {
-    std::byte* dst = out.data();
-    for (std::uint64_t n = out.size(); n > 0;) {
-      const std::uint64_t off = addr & kBlockMask;
-      const std::uint64_t k = std::min(n, kBlockBytes - off);
-      const std::byte* b = stored_block(addr >> kBlockShift);
-      if (b != nullptr) {
-        std::memcpy(dst, b + off, k);
-      } else {
-        std::memset(dst, 0, k);
-      }
-      addr += k;
-      dst += k;
-      n -= k;
-    }
   }
 
   std::string name_;
   DeviceTiming timing_;
   std::uint64_t capacity_;
-  std::vector<std::unique_ptr<Leaf>> leaves_;
+  std::unique_ptr<Slot[]> table_;
+  std::size_t slots_ = 0;  ///< table size, a power of two (0: none yet)
+  unsigned shift_ = 64;    ///< 64 - log2(slots_): keeps the hash's top bits
   std::vector<Chunk> chunks_;
-  std::uint64_t stored_blocks_ = 0;
-  /// Direct-mapped lookup cache over recent blocks: the hot headers,
-  /// commit words and flags of a node are a small set, so most
-  /// accesses skip the index walk.
-  mutable std::array<CacheEntry, kCacheSlots> cache_{};
+  std::uint64_t stored_lines_ = 0;
   sim::SimTime busy_until_ = 0;
   std::uint64_t bytes_written_ = 0;
   mutable std::uint64_t bytes_copied_ = 0;

@@ -195,11 +195,15 @@ void NodeMemory::declare_slots(std::uint64_t base, std::uint64_t slot_bytes,
   const std::uint64_t end = base + slots * slot_bytes;
   const std::size_t k = first_ring_after(base);
   if (k < spans_.size() && spans_[k].base < end) return;  // overlaps
+  if (rings_.empty()) {
+    // Room for a client's rings in one allocation each, so a node with
+    // a few rings does not reallocate them ring by ring.
+    rings_.reserve(kFirstRings);
+    spans_.reserve(kFirstRings);
+  }
   spans_.insert(spans_.begin() + static_cast<std::ptrdiff_t>(k),
                 RingSpan{base, end, static_cast<std::uint32_t>(rings_.size())});
-  rings_.push_back(SlotRing{base, end, slot_bytes, 0, 0, 0,
-                            ZeroedArray<std::uint32_t>(slots),
-                            ZeroedArray<SlotExtent>(slots)});
+  rings_.emplace_back(base, slot_bytes, slots);
 }
 
 void NodeMemory::declare_pristine(std::uint64_t addr, std::uint64_t len) {

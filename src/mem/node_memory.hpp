@@ -358,17 +358,29 @@ class NodeMemory {
   /// `index[i]` is 1 + the position of slot i's extent in `arena`, or
   /// 0 when it has none. The arena is filled in first-touch order, so
   /// the pages a run commits follow the number of slots it writes, not
-  /// how they are spread over the ring (both arrays are ZeroedArrays:
-  /// zeros, and no memory for large ones, until touched).
+  /// how they are spread over the ring. Both arrays share one
+  /// ZeroedArray (zeros, and no memory for a large one, until
+  /// touched): `slots` arena entries, then the index words.
   struct SlotRing {
+    SlotRing(std::uint64_t base_addr, std::uint64_t slot_size,
+             std::uint64_t slots)
+        : base(base_addr),
+          end(base_addr + slots * slot_size),
+          slot_bytes(slot_size),
+          table(slots + (slots * sizeof(std::uint32_t) + sizeof(SlotExtent) -
+                         1) / sizeof(SlotExtent)),
+          arena(&table[0]),
+          index(reinterpret_cast<std::uint32_t*>(&table[slots])) {}
+
     std::uint64_t base;
     std::uint64_t end;
     std::uint64_t slot_bytes;
     std::uint64_t live = 0;  ///< slots holding an extent
     std::uint32_t used = 0;  ///< arena positions ever handed out
     std::uint32_t free = 0;  ///< 1 + head of the recycled positions; 0: none
-    ZeroedArray<std::uint32_t> index;
-    ZeroedArray<SlotExtent> arena;
+    ZeroedArray<SlotExtent> table;
+    SlotExtent* arena;
+    std::uint32_t* index;
 
     [[nodiscard]] const SlotExtent* find(std::uint64_t i) const {
       const std::uint32_t k = index[i];
@@ -524,6 +536,7 @@ class NodeMemory {
   /// map holds every other extent. Rings stay in declaration order, so
   /// declaring one moves no table; spans_ keeps them sorted by base
   /// (they are disjoint).
+  static constexpr std::size_t kFirstRings = 4;
   std::vector<SlotRing> rings_;
   std::vector<RingSpan> spans_;
   std::size_t inline_extents_ = 0;

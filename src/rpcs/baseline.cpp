@@ -147,11 +147,16 @@ std::unique_ptr<BaselineClient> BaselineServer::connect_client(
   conn->stage_addr = server_.dram_alloc().alloc(params_.max_payload + 64, 64);
   conn->result_base = server_.dram_alloc().alloc(params_.max_payload + 64, 64);
   conn->warmup_base = server_.dram_alloc().alloc(64, 64);
+  // Response staging and the RFP result slot are one-slot rings.
+  server_.mem().declare_slots(conn->stage_addr, params_.max_payload + 64, 1);
+  server_.mem().declare_slots(conn->result_base, params_.max_payload + 64, 1);
 
   if (config_.detect == BaselineConfig::Detect::kRecv) {
     conn->msg_slots = kRecvSlots;
     conn->msg_base =
         server_.dram_alloc().alloc(conn->msg_slots * layout.slot_bytes(), 256);
+    server_.mem().declare_slots(conn->msg_base, layout.slot_bytes(),
+                                conn->msg_slots);
   }
 
   auto client = std::unique_ptr<BaselineClient>(
@@ -514,6 +519,8 @@ BaselineClient::BaselineClient(BaselineServer& server, core::Node& node,
   resp_base_ =
       node_.dram_alloc().alloc(kRingSlots * (p.max_payload + 16), 256);
   warmup_ack_addr_ = node_.dram_alloc().alloc(64, 64);
+  node_.mem().declare_slots(staging_base_, image_cap, kRingSlots);
+  node_.mem().declare_slots(resp_base_, p.max_payload + 16, kRingSlots);
 
   // Recv buffers for send-based / write-imm response paths.
   // (Posted lazily in do_call for the QP that exists by then.)

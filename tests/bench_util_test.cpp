@@ -259,6 +259,23 @@ TEST(Flags, TypedStringAccessor) {
   EXPECT_EQ(f.str("json", "fallback"), "fallback");
 }
 
+TEST(Flags, RecordPathsAddJsonToOut) {
+  // A bench that writes one record document (rack_scale) writes it to
+  // --out, or its default, and to --json as well when that names
+  // another file.
+  const auto paths = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    return Flags(static_cast<int>(argv.size()), const_cast<char**>(argv.data()))
+        .record_paths("BENCH_x.json");
+  };
+  using V = std::vector<std::string>;
+  EXPECT_EQ(paths({}), V{"BENCH_x.json"});
+  EXPECT_EQ(paths({"--json=r.json"}), (V{"BENCH_x.json", "r.json"}));
+  EXPECT_EQ(paths({"--out=o.json", "--json=r.json"}), (V{"o.json", "r.json"}));
+  EXPECT_EQ(paths({"--out=o.json", "--json=o.json"}), V{"o.json"});
+  EXPECT_EQ(paths({"--out=o.json"}), V{"o.json"});
+}
+
 TEST(Flags, CommonRegistryCoversSharedKnobs) {
   const auto& specs = Flags::common_flags();
   for (const char* name : {"seed", "ops", "jobs", "json", "trace", "quick",

@@ -189,6 +189,43 @@ TEST(MemAlloc, ByteStoreFlushCycleIsAllocationFree) {
       << "steady-state byte store/flush cycle allocated";
 }
 
+TEST(MemAlloc, RestoringStoredLinesIsAllocationFree) {
+  // The byte plane allocates a line and grows its table only on a
+  // line's first store: stores into lines already stored (one line or
+  // several, across a DRAM crash that zeros them in place) and loads
+  // of any line, stored or not, allocate nothing.
+  sim::Simulator sim;
+  PmDevice pm(sim, "pm", 1 << 24, DeviceTiming{170, 90, 6.6e9, 12e9});
+  DramDevice dram(sim, "dram", 1 << 24, DeviceTiming{80, 80, 20e9, 20e9});
+  const std::vector<std::byte> header(8, std::byte{0x22});
+  const std::vector<std::byte> payload(3 * kCacheLine + 40, std::byte{0x33});
+  std::vector<std::byte> out(payload.size());
+  const auto header_at = [](std::uint64_t i) { return i * 4096 + 24; };
+  for (Device* dev : {static_cast<Device*>(&pm), static_cast<Device*>(&dram)}) {
+    for (std::uint64_t i = 0; i < 1000; ++i) dev->poke(header_at(i), header);
+    dev->poke(1 << 23, payload);
+  }
+  const std::uint64_t pm_lines = pm.stored_lines();
+
+  const std::uint64_t before = g_allocs.load();
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (Device* dev :
+         {static_cast<Device*>(&pm), static_cast<Device*>(&dram)}) {
+      for (std::uint64_t i = 0; i < 1000; ++i) {
+        dev->poke(header_at((i * 7 + round) % 1000), header);
+      }
+      dev->poke((1 << 23) + 8 * round, std::span(payload).first(
+                                           payload.size() - 8 * round));
+      dev->peek(1 << 23, out);
+      dev->peek(12345 * 64, out);  // never stored
+    }
+    dram.crash();
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u) << "re-storing a stored line allocated";
+  EXPECT_EQ(pm.stored_lines(), pm_lines);
+  EXPECT_EQ(dram.stored_lines(), pm_lines);
+}
+
 
 TEST(MemAlloc, HostExecCycleIsAllocationFree) {
   // A host charge is an awaiter in the caller's frame, and one queued
@@ -267,7 +304,7 @@ TEST(MemAlloc, FirstShadowStoreIntoAColdSlotIsAllocationFree) {
   // is under way, the first shadow store into a slot of each that no
   // write has reached yet allocates nothing: the extent goes into the
   // ring's flat table. (The header and commit words around a staged or
-  // logged payload are byte stores, whose first landing in a block
+  // logged payload are byte stores, whose first landing in a line
   // grows the devices' sparse byte planes; they are left out here.)
   bench::MicroConfig cfg;
   cfg.objects = 1024;

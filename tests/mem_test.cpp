@@ -69,9 +69,9 @@ TEST(Device, UnstoredBytesReadAsZeros) {
   std::vector<std::byte> out(6);
   pm.peek(298, out);
   EXPECT_EQ(out, bytes({0, 0, 1, 2, 3, 0}));
-  pm.peek(600 * 1024, out);  // a leaf nothing was stored into
+  pm.peek(600 * 1024, out);  // a line nothing was stored into
   EXPECT_EQ(out, std::vector<std::byte>(6, std::byte{0}));
-  EXPECT_EQ(pm.stored_blocks(), 1u) << "reads allocate nothing";
+  EXPECT_EQ(pm.stored_lines(), 1u) << "reads allocate nothing";
 }
 
 TEST(Device, WriteTimingIncludesLatencyAndBandwidth) {
@@ -620,34 +620,40 @@ class FlatDevice {
   bool persistent_;
 };
 
-/// An address near a block or leaf boundary (either side), or anywhere.
+/// An address on a line edge, within a few bytes of one (either
+/// side), or anywhere.
 std::uint64_t pick_addr(OpRng& rng, std::uint64_t capacity) {
   std::uint64_t a = rng.below(capacity);
+  const std::uint64_t edge = rng.below(capacity / kCacheLine + 1) * kCacheLine;
   switch (rng.below(3)) {
-    case 0: {
-      const std::uint64_t edge = rng.below(capacity / Device::kBlockBytes + 1) *
-                                 Device::kBlockBytes;
-      a = edge + rng.below(64) - 32;
+    case 0:
+      a = edge;
       break;
-    }
-    case 1: {
-      const std::uint64_t edge = rng.below(capacity / Device::kLeafBytes + 1) *
-                                 Device::kLeafBytes;
-      a = edge + rng.below(1024) - 512;
+    case 1:
+      a = edge + rng.below(16) - 8;
       break;
-    }
     default:
       break;
   }
   return std::min(a, capacity - 1);  // wrapped or past the end: clamp
 }
 
+/// Compares `dev` against `ref` over the whole capacity.
+void expect_same_content(const Device& dev, FlatDevice& ref,
+                         std::uint64_t capacity) {
+  std::vector<std::byte> got(capacity);
+  std::vector<std::byte> want(capacity);
+  dev.peek(0, got);
+  ref.peek(0, want);
+  EXPECT_EQ(got, want) << "whole-device content";
+}
+
 TEST(SparseDevice, MatchesFlatArrayReference) {
-  // Three leaves and a ragged tail, so stores and loads cross block
-  // boundaries, leaf boundaries and the last partial leaf. kShadow
-  // mixes in content-elided stores the way NodeMemory issues them for
-  // payload interiors.
-  constexpr std::uint64_t kCap = 3 * Device::kLeafBytes + 1000;
+  // 768 KiB and a ragged tail, so stores and loads cross line
+  // boundaries and the last partial line. kShadow mixes in
+  // content-elided stores the way NodeMemory issues them for payload
+  // interiors.
+  constexpr std::uint64_t kCap = 768 * 1024 + 1000;
   for (const bool persistent : {true, false}) {
     for (const ContentMode mode : {ContentMode::kFull, ContentMode::kShadow}) {
       for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -697,33 +703,97 @@ TEST(SparseDevice, MatchesFlatArrayReference) {
           ASSERT_EQ(dev.bytes_copied(), ref.copied_);
           ASSERT_EQ(pm.torn_writes(), persistent ? ref.torn_ : 0u);
         }
-        std::vector<std::byte> got(kCap);
-        std::vector<std::byte> want(kCap);
-        dev.peek(0, got);
-        ref.peek(0, want);
-        EXPECT_EQ(got, want) << "whole-device content";
-        EXPECT_LE(dev.stored_blocks(),
-                  (kCap + Device::kBlockBytes - 1) / Device::kBlockBytes);
+        expect_same_content(dev, ref, kCap);
+        EXPECT_LE(dev.stored_lines(), (kCap + kCacheLine - 1) / kCacheLine);
       }
     }
+  }
+}
+
+TEST(SparseDevice, TableDoublingsKeepEveryLine) {
+  // Small stores into distinct lines, one at a time, so the line table
+  // doubles from its first size many times over; crashes in between
+  // must keep every line a PM device stored and zero every line of a
+  // DRAM device, whichever table size the line was stored under.
+  constexpr std::uint64_t kCap = 4ull << 20;
+  constexpr std::uint64_t kLines = 5'000;
+  for (const bool persistent : {true, false}) {
+    SCOPED_TRACE(persistent ? "pm" : "dram");
+    Simulator sim;
+    PmDevice pm(sim, "pm", kCap, fast_timing());
+    DramDevice dram(sim, "dram", kCap, fast_timing());
+    Device& dev = persistent ? static_cast<Device&>(pm) : dram;
+    FlatDevice ref(kCap, persistent);
+    OpRng rng{persistent ? 11u : 12u};
+    std::vector<std::uint64_t> lines(kCap / kCacheLine);
+    for (std::uint64_t i = 0; i < lines.size(); ++i) lines[i] = i;
+    for (std::uint64_t i = 0; i < kLines; ++i) {  // distinct, shuffled
+      std::swap(lines[i], lines[i + rng.below(lines.size() - i)]);
+    }
+    for (std::uint64_t i = 0; i < kLines && !HasFailure(); ++i) {
+      const std::uint64_t addr = lines[i] * kCacheLine + rng.below(kCacheLine);
+      const std::uint64_t len = std::min<std::uint64_t>(
+          1 + rng.below(8), (lines[i] + 1) * kCacheLine - addr);
+      const auto data = pattern(len, static_cast<int>(i));
+      dev.poke(addr, data);
+      ref.poke(addr, data);
+      ASSERT_EQ(dev.stored_lines(), i + 1);
+      if (i % 997 == 0) {
+        dev.crash();
+        ref.crash();
+      }
+      const std::uint64_t back = lines[rng.below(i + 1)] * kCacheLine;
+      std::vector<std::byte> got(kCacheLine);
+      std::vector<std::byte> want(kCacheLine);
+      dev.peek(back, got);
+      ref.peek(back, want);
+      ASSERT_EQ(got, want) << "line at " << back;
+    }
+    expect_same_content(dev, ref, kCap);
+    EXPECT_EQ(dev.bytes_written(), ref.written_);
+    EXPECT_EQ(dev.bytes_copied(), ref.copied_);
   }
 }
 
 TEST(SparseDevice, MemoryFollowsStoredBytesNotCapacity) {
   Simulator sim;
   DramDevice dram(sim, "dram", 128ull << 20, fast_timing());
-  EXPECT_EQ(dram.stored_blocks(), 0u);
-  dram.poke(Device::kBlockBytes - 4, pattern(8));  // straddles two blocks
-  dram.poke(64ull << 20, pattern(16));             // a far leaf
-  EXPECT_EQ(dram.stored_blocks(), 3u);
+  EXPECT_EQ(dram.stored_lines(), 0u);
+  EXPECT_EQ(dram.heap_bytes(), 0u) << "an untouched device holds nothing";
+  dram.poke(kCacheLine - 4, pattern(8));  // straddles two lines
+  dram.poke(64ull << 20, pattern(16));    // a far line
+  EXPECT_EQ(dram.stored_lines(), 3u);
   std::vector<std::byte> out(8);
   dram.peek(100ull << 20, out);  // never stored: zeros, nothing allocated
   EXPECT_EQ(out, std::vector<std::byte>(8, std::byte{0}));
-  EXPECT_EQ(dram.stored_blocks(), 3u);
-  dram.crash();  // clears the stored blocks in place
-  dram.peek(Device::kBlockBytes - 4, out);
+  EXPECT_EQ(dram.stored_lines(), 3u);
+  dram.crash();  // clears the stored lines in place
+  dram.peek(kCacheLine - 4, out);
   EXPECT_EQ(out, std::vector<std::byte>(8, std::byte{0}));
-  EXPECT_EQ(dram.stored_blocks(), 3u);
+  EXPECT_EQ(dram.stored_lines(), 3u);
+}
+
+TEST(SparseDevice, ScatteredHeaderStoresCostALine) {
+  // Headers, commit words and flags: 8 B in each of N lines 4 KiB
+  // apart. Each costs one 64 B line plus its share of the table (16 B
+  // slots, doubled before it passes half full, so fewer than 4 slots
+  // per line once past the 128-slot first table) and the arena's one
+  // partly used chunk (at most 64 KiB) — not a block or a leaf per
+  // header.
+  constexpr std::uint64_t kN = 4'096;
+  constexpr std::uint64_t kStride = 4'096;
+  Simulator sim;
+  PmDevice pm(sim, "pm", 1ull << 30, fast_timing());
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    pm.poke(i * kStride + 16, pattern(8, static_cast<int>(i)));
+  }
+  EXPECT_EQ(pm.stored_lines(), kN);
+  constexpr std::uint64_t kTableBytes = 4 * kN * 16;
+  constexpr std::uint64_t kChunkSlack = 64 * 1024;
+  EXPECT_LE(pm.heap_bytes(), kN * kCacheLine + kTableBytes + kChunkSlack);
+  std::vector<std::byte> out(8);
+  pm.peek((kN - 1) * kStride + 16, out);
+  EXPECT_EQ(out, pattern(8, static_cast<int>(kN - 1)));
 }
 
 struct NodeMemFixture : ::testing::Test {

@@ -849,7 +849,9 @@ TEST(Event, AbortWakesWaitersWithFalse) {
   Event ev(sim);
   int aborted = 0;
   spawn([](Event& e, int& n) -> Task<> {
-    if (!co_await e.wait()) ++n;
+    // A named local: see recovery_loop in check/explorer.cpp.
+    const bool fired = co_await e.wait();
+    if (!fired) ++n;
   }(ev, aborted));
   sim.schedule(10, [&] { ev.abort(); });
   sim.run();
