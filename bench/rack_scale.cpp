@@ -109,7 +109,14 @@ double epochs_per_sim_sec(const bench::MicroResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(
+      argc, argv,
+      {{"out", "PATH",
+        "write the record document here (default BENCH_topology.json)"},
+       {"ops-per-host", "N",
+        "operations per host in every cell (default 64; 16 with --quick)"}},
+      "Rack-scale leaf-spine sweep: 2 to 512 hosts, serial vs per-rack "
+      "partitioned engine.");
   if (flags.help_requested()) {
     flags.print_help();
     return 0;

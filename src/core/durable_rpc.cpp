@@ -67,14 +67,9 @@ std::unique_ptr<DurableRpcClient> DurableRpcServer::connect_client(
   layout.payload_capacity = params_.max_payload;
   layout.base = server_.pm_alloc().alloc(layout.total_bytes(), 256);
 
-  auto conn = std::make_unique<Conn>(server_, layout);
-  conn->idx = conns_.size();
+  auto conn =
+      std::make_unique<Conn>(server_, client_node, conns_.size(), layout);
   conn->completed_oo.assign(layout.slots, false);
-  conn->client = &client_node;
-  conn->scq = std::make_unique<rnic::Cq>(server_.simulator());
-  conn->rcq = std::make_unique<rnic::Cq>(server_.simulator());
-  conn->arrivals =
-      std::make_unique<sim::Channel<std::uint64_t>>(server_.simulator());
 
   // Server-side staging: [0,8) notify scratch; response staging ring
   // at +64, one slot per window entry.
@@ -84,14 +79,7 @@ std::unique_ptr<DurableRpcClient> DurableRpcServer::connect_client(
   server_.mem().declare_slots(conn->stage_addr + 64, params_.max_payload + 16,
                               window_);
 
-  if (is_send_based(variant_)) {
-    conn->msg_slots = 2 * window_;
-    const std::uint64_t msg_slot_bytes = layout.slot_bytes();
-    conn->msg_base =
-        server_.dram_alloc().alloc(conn->msg_slots * msg_slot_bytes, 256);
-    server_.mem().declare_slots(conn->msg_base, msg_slot_bytes,
-                                conn->msg_slots);
-  }
+  if (is_send_based(variant_)) conn->alloc_msg_ring(2 * window_);
 
   // Build the client object (allocates client-side regions).
   auto client = std::unique_ptr<DurableRpcClient>(
@@ -102,14 +90,12 @@ std::unique_ptr<DurableRpcClient> DurableRpcServer::connect_client(
 
   conns_.push_back(std::move(conn));
   Conn& c = *conns_.back();
-  c.completer = std::make_unique<rdma::Completer>(server_.simulator(), *c.scq);
+  c.ep.renew_completer(server_.simulator());
 
   // Region registration (ibv_reg_mr analogue): the client may write
   // and flush the redo-log ring; the server may write the client's
   // notify words and response ring.
-  server_.rnic().register_mr(layout.base, layout.total_bytes(),
-                             rnic::Access::kRemoteWrite |
-                                 rnic::Access::kRemoteFlush);
+  register_log(c);
   client_node.rnic().register_mr(client->notify_base_, 64,
                                  static_cast<std::uint8_t>(
                                      rnic::Access::kRemoteWrite));
@@ -119,32 +105,16 @@ std::unique_ptr<DurableRpcClient> DurableRpcServer::connect_client(
           client->resp_slot_bytes_,
       static_cast<std::uint8_t>(rnic::Access::kRemoteWrite));
 
-  // Fresh QP pair and sessions on both ends.
-  auto [client_qp, server_qp] = rdma::connect_pair(
-      client_node.rnic(), rnic::Transport::kRC, client->scq_, client->rcq_,
-      server_.rnic(), rnic::Transport::kRC, *c.scq, *c.rcq);
-  c.qp = server_qp;
-  c.session = std::make_unique<rdma::QpSession>(server_.rnic(), *server_qp,
-                                                *c.completer);
-  client->completer_ =
-      std::make_unique<rdma::Completer>(client_node.simulator(), client->scq_);
-  client->session_ = std::make_unique<rdma::QpSession>(
-      client_node.rnic(), *client_qp, *client->completer_);
+  c.wire(client->ep_, rnic::Transport::kRC, /*ud_response=*/false);
   sim::spawn(client->credit_pump());
   return client;
 }
 
-void DurableRpcServer::install_ring_watch(Conn& conn) {
+void DurableRpcServer::register_log(const Conn& conn) {
   const LogLayout& lay = conn.log.layout();
-  Conn* c = &conn;
-  conn.watch = server_.mem().add_watch(
-      lay.base + LogLayout::kHeaderBytes,
-      lay.total_bytes() - LogLayout::kHeaderBytes, [this, c] {
-        while (auto e = c->log.peek(c->next_seq)) {
-          c->arrivals->send(c->next_seq);
-          ++c->next_seq;
-        }
-      });
+  server_.rnic().register_mr(lay.base, lay.total_bytes(),
+                             rnic::Access::kRemoteWrite |
+                                 rnic::Access::kRemoteFlush);
 }
 
 void DurableRpcServer::start() {
@@ -152,31 +122,32 @@ void DurableRpcServer::start() {
   running_ = true;
   for (auto& conn : conns_) {
     if (is_send_based(variant_)) {
-      // Pre-post the receive ring.
-      const std::uint64_t slot_bytes = conn->log.layout().slot_bytes();
-      for (std::uint32_t i = 0; i < conn->msg_slots; ++i) {
-        server_.rnic().post_recv(*conn->qp, conn->msg_base + i * slot_bytes,
-                                 slot_bytes, /*wr_id=*/i);
-      }
+      conn->post_msg_recvs();
       sim::spawn(conn_loop_send_based(*conn));
     } else {
-      install_ring_watch(*conn);
-      if (variant_ == FlushVariant::kWRFlush && params_.rnic.smartnic_rflush) {
-        // §4.5: the smartNIC's lookup table covers the redo-log ring;
-        // the NIC persists incoming entries and notifies the sender
-        // itself — the CPU persist path in conn_loop is bypassed.
-        const LogLayout& lay = conn->log.layout();
-        server_.rnic().configure_auto_persist(
-            *conn->qp, lay.base + LogLayout::kHeaderBytes,
-            lay.total_bytes() - LogLayout::kHeaderBytes,
-            conn->notify_persist_addr, conn->completed_floor);
-      }
+      conn->watch_ring();
+      configure_smartnic(*conn);
       sim::spawn(conn_loop_write_based(*conn));
     }
   }
   for (unsigned i = 0; i < params_.server_workers; ++i) {
     sim::spawn(worker_loop());
   }
+}
+
+void DurableRpcServer::configure_smartnic(Conn& conn) {
+  if (variant_ != FlushVariant::kWRFlush || !params_.rnic.smartnic_rflush) {
+    return;
+  }
+  // §4.5: the smartNIC's lookup table covers the redo-log ring; the NIC
+  // persists incoming entries and notifies the sender itself — the CPU
+  // persist path in conn_loop is bypassed. The table is NIC-volatile
+  // and keyed by the QP, so every (re)connect installs it afresh.
+  const LogLayout& lay = conn.log.layout();
+  server_.rnic().configure_auto_persist(
+      conn.ep.qp(), lay.base + LogLayout::kHeaderBytes,
+      lay.total_bytes() - LogLayout::kHeaderBytes, conn.notify_persist_addr,
+      conn.completed_floor);
 }
 
 void DurableRpcServer::enqueue_backlog(Conn& conn) {
@@ -189,7 +160,7 @@ void DurableRpcServer::enqueue_backlog(Conn& conn) {
 void DurableRpcServer::notify_word(Conn& conn, std::uint64_t client_addr,
                                    std::uint64_t value) {
   store_u64(server_.mem(), conn.stage_addr, value);
-  conn.session->post_write_nowait(conn.stage_addr, 8, client_addr);
+  conn.ep.session->post_write_nowait(conn.stage_addr, 8, client_addr);
 }
 
 sim::Task<> DurableRpcServer::persist_slot(Conn& conn, const LogEntryView& e) {
@@ -202,7 +173,7 @@ sim::Task<> DurableRpcServer::conn_loop_write_based(Conn& conn) {
   const std::uint64_t epoch = epoch_;
   for (;;) {
     if (epoch != epoch_) break;  // zombie guard (see worker_loop)
-    auto seq = co_await conn.arrivals->recv();
+    auto seq = co_await conn.arrivals.recv();
     if (!seq.has_value() || epoch != epoch_) break;  // crash/stop
     co_await host.charge_poll();
     if (epoch != epoch_) break;
@@ -250,11 +221,10 @@ sim::Task<> DurableRpcServer::conn_loop_write_based(Conn& conn) {
 
 sim::Task<> DurableRpcServer::conn_loop_send_based(Conn& conn) {
   auto& host = server_.host();
-  const std::uint64_t slot_bytes = conn.log.layout().slot_bytes();
   const std::uint64_t epoch = epoch_;
   for (;;) {
     if (epoch != epoch_) break;  // zombie guard (see worker_loop)
-    auto wc = co_await conn.rcq->channel().recv();
+    auto wc = co_await conn.ep.rcq.channel().recv();
     if (!wc.has_value() || epoch != epoch_) break;  // crash/stop
     if (wc->status != rnic::WcStatus::kSuccess) continue;
     co_await host.charge_recv_handler();
@@ -263,7 +233,7 @@ sim::Task<> DurableRpcServer::conn_loop_send_based(Conn& conn) {
     auto e = decode_entry_at(server_.mem(), wc->local_addr,
                              conn.log.layout().payload_capacity);
     // Recycle the message-buffer slot for future sends.
-    server_.rnic().post_recv(*conn.qp, wc->local_addr, slot_bytes, 0);
+    conn.recycle_msg_slot(wc->local_addr);
     if (!e.has_value()) continue;
     conn.next_seq = e->seq + 1;
 
@@ -376,7 +346,7 @@ sim::Task<> DurableRpcServer::process_item(WorkItem item) {
     if (epoch != epoch_) co_return;
     const std::uint64_t resp_addr =
         conn.resp_base + e.resp_slot * (params_.max_payload + 16);
-    conn.session->post_write_nowait(stage, rlen + 8, resp_addr);
+    conn.ep.session->post_write_nowait(stage, rlen + 8, resp_addr);
   }
 
   stats_.ops_processed += e.batch;
@@ -424,13 +394,7 @@ void DurableRpcServer::on_crash() {
   running_ = false;
   ++epoch_;
   for (auto& conn : conns_) {
-    if (conn->watch != 0) {
-      server_.mem().remove_watch(conn->watch);
-      conn->watch = 0;
-    }
-    conn->arrivals->reset();
-    conn->scq->reset();
-    conn->rcq->reset();
+    conn->reset_on_crash();
     conn->backlog = 0;
     std::fill(conn->completed_oo.begin(), conn->completed_oo.end(), false);
   }
@@ -454,8 +418,7 @@ sim::Task<> DurableRpcServer::recover_and_restart() {
   // Replay committed-but-unconsumed entries, oldest first, without any
   // client involvement — the paper's headline recovery property.
   for (auto& conn : conns_) {
-    conn->completer =
-        std::make_unique<rdma::Completer>(server_.simulator(), *conn->scq);
+    conn->ep.renew_completer(server_.simulator());
     const auto entries = conn->log.recover();
     conn->completed_floor = conn->log.consumed();
     conn->next_seq = conn->completed_floor + entries.size() + 1;
@@ -471,7 +434,7 @@ sim::Task<> DurableRpcServer::recover_and_restart() {
     if (is_send_based(variant_)) {
       sim::spawn(conn_loop_send_based(*conn));
     } else {
-      install_ring_watch(*conn);
+      conn->watch_ring();
       sim::spawn(conn_loop_write_based(*conn));
     }
   }
@@ -483,38 +446,10 @@ sim::Task<> DurableRpcServer::recover_and_restart() {
 void DurableRpcServer::reconnect_client(DurableRpcClient& client) {
   Conn& conn = *conns_.at(client.conn_idx_);
 
-  // The crash wiped the NIC's protection table: re-register.
-  const LogLayout& relay = conn.log.layout();
-  server_.rnic().register_mr(relay.base, relay.total_bytes(),
-                             rnic::Access::kRemoteWrite |
-                                 rnic::Access::kRemoteFlush);
-
-  // Fresh QP pair (the old endpoints died with the crash).
-  auto [client_qp, server_qp] = rdma::connect_pair(
-      client.node_.rnic(), rnic::Transport::kRC, client.scq_, client.rcq_,
-      server_.rnic(), rnic::Transport::kRC, *conn.scq, *conn.rcq);
-  conn.qp = server_qp;
-  conn.session = std::make_unique<rdma::QpSession>(server_.rnic(), *server_qp,
-                                                   *conn.completer);
-  // Completions that arrived while no dispatcher was attached (flush
-  // ACKs already on the wire when the crash hit) belong to the dead
-  // endpoint: drop them, and keep the wr-id space monotone so a stale
-  // straggler can never match a post-recovery post.
-  client.scq_.reset();
-  auto fresh_completer =
-      std::make_unique<rdma::Completer>(client.node_.simulator(), client.scq_);
-  fresh_completer->advance_wr(client.completer_->next_wr());
-  client.completer_ = std::move(fresh_completer);
-  client.session_ = std::make_unique<rdma::QpSession>(client.node_.rnic(),
-                                                      *client_qp,
-                                                      *client.completer_);
-  if (is_send_based(variant_)) {
-    const std::uint64_t slot_bytes = conn.log.layout().slot_bytes();
-    for (std::uint32_t i = 0; i < conn.msg_slots; ++i) {
-      server_.rnic().post_recv(*conn.qp, conn.msg_base + i * slot_bytes,
-                               slot_bytes, i);
-    }
-  }
+  // The crash wiped the NIC's protection table and the old QPs.
+  register_log(conn);
+  conn.wire(client.ep_, rnic::Transport::kRC, /*ud_response=*/false);
+  if (is_send_based(variant_)) conn.post_msg_recvs();
 
   // Sequences the client sent but that never reached the log are gone;
   // treat them as consumed no-ops so the watermark stays contiguous.
@@ -527,6 +462,7 @@ void DurableRpcServer::reconnect_client(DurableRpcClient& client) {
   client.credits_released_ = conn.completed_floor;
   client.window_.reset(window_);
   client.aborted_ = false;
+  configure_smartnic(conn);
 }
 
 // ===================================================================
@@ -538,8 +474,7 @@ DurableRpcClient::DurableRpcClient(DurableRpcServer& server, Node& node,
     : server_(server),
       node_(node),
       conn_idx_(conn_idx),
-      scq_(node.simulator()),
-      rcq_(node.simulator()),
+      ep_(node.simulator()),
       window_(node.simulator(), server.window_) {
   window_size_ = server.window_;
   const auto& p = server.params_;
@@ -563,18 +498,10 @@ std::uint64_t DurableRpcClient::consumed_seen() const {
 
 void DurableRpcClient::abort_pending() {
   aborted_ = true;
-  // Wake read/persist waiters parked on memory watches: touching the
-  // watched ranges fires their predicates, which observe aborted_.
-  std::vector<std::byte> zeros(16, std::byte{0});
-  node_.mem().cpu_write(notify_base_, zeros);
-  std::vector<std::byte> ring_zeros(window_size_ * resp_slot_bytes_,
-                                    std::byte{0});
-  node_.mem().cpu_write(resp_base_, ring_zeros);
-  // Wake verbs waiters (flush ACKs that will never come). The CQ
-  // reset can race a completion already in flight to the dispatcher,
-  // so fail the parked waiters directly as well.
-  scq_.reset();
-  if (completer_) completer_->fail_pending();
+  // Read/persist waiters poll the notify words and the response ring;
+  // verbs waiters wait for flush ACKs that will never come.
+  ep_.abort(node_.mem(), {{notify_base_, 16},
+                          {resp_base_, window_size_ * resp_slot_bytes_}});
 }
 
 sim::Task<> DurableRpcClient::credit_pump() {
@@ -670,30 +597,30 @@ sim::Task<RpcResult> DurableRpcClient::transmit_entry(RpcOp op,
     // Reads need no persistence (§5.5: Flush primitives are only
     // needed for writes); ship the request and await the response.
     if (is_send_based(server_.variant_)) {
-      session_->post_send_nowait(stage, image_len);
+      ep_.session->post_send_nowait(stage, image_len);
     } else {
-      session_->post_write_nowait(stage, image_len, slot);
+      ep_.session->post_write_nowait(stage, image_len, slot);
     }
     durable_ok = true;
   } else switch (server_.variant_) {
     case FlushVariant::kWFlush: {
-      session_->post_write_nowait(stage, image_len, slot);
-      const auto wc = co_await session_->wflush(slot, image_len);
+      ep_.session->post_write_nowait(stage, image_len, slot);
+      const auto wc = co_await ep_.session->wflush(slot, image_len);
       durable_ok = wc.has_value() && wc->status == rnic::WcStatus::kSuccess;
       break;
     }
     case FlushVariant::kSFlush: {
-      session_->post_send_nowait(stage, image_len);
-      const auto wc = co_await session_->sflush(slot, image_len);
+      ep_.session->post_send_nowait(stage, image_len);
+      const auto wc = co_await ep_.session->sflush(slot, image_len);
       durable_ok = wc.has_value() && wc->status == rnic::WcStatus::kSuccess;
       break;
     }
     case FlushVariant::kWRFlush:
     case FlushVariant::kSRFlush: {
       if (is_send_based(server_.variant_)) {
-        session_->post_send_nowait(stage, image_len);
+        ep_.session->post_send_nowait(stage, image_len);
       } else {
-        session_->post_write_nowait(stage, image_len, slot);
+        ep_.session->post_write_nowait(stage, image_len, slot);
       }
       co_await poll_until(node_, notify_base_ + 8, 8, [this, seq] {
         return aborted_ ||

@@ -7,13 +7,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/connection.hpp"
 #include "core/node.hpp"
 #include "core/object_store.hpp"
 #include "core/params.hpp"
 #include "core/redo_log.hpp"
 #include "core/rpc.hpp"
-#include "rdma/completer.hpp"
-#include "rdma/session.hpp"
 #include "sim/sync.hpp"
 
 namespace prdma::core {
@@ -63,7 +62,7 @@ class DurableRpcClient : public RpcClient {
 
   /// The client's verbs session (the durability oracle installs phase
   /// traces here to derive targeted crash timestamps).
-  [[nodiscard]] rdma::QpSession* session() { return session_.get(); }
+  [[nodiscard]] rdma::QpSession* session() { return ep_.session.get(); }
 
   /// Persist-ACK hook: fires at the simulated instant this client
   /// observes remote persistence for write `seq` (the moment it would
@@ -94,10 +93,7 @@ class DurableRpcClient : public RpcClient {
   Node& node_;
   std::size_t conn_idx_;
 
-  rnic::Cq scq_;
-  rnic::Cq rcq_;  // unused (no recvs needed) but QPs require one
-  std::unique_ptr<rdma::Completer> completer_;
-  std::unique_ptr<rdma::QpSession> session_;
+  Endpoint ep_;  // its recv CQ stays unused (no recvs), but QPs need one
 
   sim::Semaphore window_;
   std::uint64_t next_seq_ = 1;
@@ -177,21 +173,9 @@ class DurableRpcServer : public RpcServer {
  private:
   friend class DurableRpcClient;
 
-  struct Conn {
-    std::size_t idx = 0;
-    Node* client = nullptr;
-    rnic::Qp* qp = nullptr;  // server-side endpoint
-    std::unique_ptr<rnic::Cq> scq;
-    std::unique_ptr<rnic::Cq> rcq;
-    std::unique_ptr<rdma::Completer> completer;
-    std::unique_ptr<rdma::QpSession> session;
-    RedoLog log;
-    std::uint64_t msg_base = 0;   ///< DRAM recv ring (send-based variants)
-    std::uint32_t msg_slots = 0;
-    std::uint64_t stage_addr = 0; ///< server staging (notify words, responses)
-    std::uint64_t next_seq = 1;   ///< next entry expected from this client
-    std::unique_ptr<sim::Channel<std::uint64_t>> arrivals;
-    mem::NodeMemory::WatchId watch = 0;
+  /// A connection whose request ring is the client's redo log in PM.
+  struct Conn : Connection {
+    using Connection::Connection;
     std::uint64_t backlog = 0;
     // Out-of-order completion tracking for the consumed watermark:
     // completed_oo[s % size] flags seq s in (completed_floor,
@@ -203,8 +187,6 @@ class DurableRpcServer : public RpcServer {
     std::uint64_t notify_consumed_addr = 0;
     std::uint64_t notify_persist_addr = 0;
     std::uint64_t resp_base = 0;
-
-    Conn(Node& server_node, LogLayout layout) : log(server_node, layout) {}
   };
 
   struct WorkItem {
@@ -215,7 +197,9 @@ class DurableRpcServer : public RpcServer {
     bool fast = false;
   };
 
-  void install_ring_watch(Conn& conn);
+  void register_log(const Conn& conn);
+  /// W-RFlush with a smartNIC (§4.5): hands the persist path to the NIC.
+  void configure_smartnic(Conn& conn);
   sim::Task<> conn_loop_write_based(Conn& conn);
   sim::Task<> conn_loop_send_based(Conn& conn);
   sim::Task<> worker_loop();

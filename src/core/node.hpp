@@ -110,23 +110,18 @@ class Node {
 class Cluster {
  public:
   /// Resolves an EngineConfig against the declared topology before the
-  /// engine is built (member-init order: engine_ precedes fabric_):
-  /// kAuto promotes to kPerRack whenever the worker count and the
-  /// fabric allow it (threads > 1, switched preset, >= 2 racks), and a
+  /// engine is built (member-init order: engine_ precedes fabric_): a
   /// kPerRack request with no explicit map derives one from the
   /// topology's rack striping (net::rack_partition_map) — each ToR and
   /// its hosts share a partition; spines follow their deterministic
-  /// owner host (Topology::switch_owner).
+  /// owner host (Topology::switch_owner). Which layout a run uses is
+  /// the caller's choice (bench::run_micro picks per-rack for
+  /// multi-rack fabrics); kAuto keeps the engine's own meaning: one
+  /// partition at one thread, one per node above.
   [[nodiscard]] static sim::EngineConfig resolve_engine_config(
       const ModelParams& params, std::size_t node_count,
       sim::EngineConfig engine) {
-    using Partitioning = sim::EngineConfig::Partitioning;
-    if (engine.partitioning == Partitioning::kAuto && engine.threads > 1 &&
-        params.topology.switched() &&
-        net::rack_count(params.topology, node_count) >= 2) {
-      engine.partitioning = Partitioning::kPerRack;
-    }
-    if (engine.partitioning == Partitioning::kPerRack &&
+    if (engine.partitioning == sim::EngineConfig::Partitioning::kPerRack &&
         engine.partition_map.empty()) {
       const std::vector<std::uint32_t> racks =
           net::rack_partition_map(params.topology, node_count);

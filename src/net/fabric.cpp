@@ -594,7 +594,6 @@ sim::SimTime Fabric::send_direct(Packet p) {
       return now;
     }
     if (direct_is_down(p.src, p.dst, now)) {
-      state(p.src, p.dst).drops += 1;
       count_drop(DropReason::kLinkDown, now, p.src, src.tracer);
       return now;
     }
@@ -648,12 +647,10 @@ sim::SimTime Fabric::send_direct(Packet p) {
   double corrupt = 0.0;
   if (have_faults_) burst_rates(tx_begin, loss, corrupt);
   if (loss > 0.0 && rng.bernoulli(loss)) {
-    lk.drops += 1;
     count_drop(DropReason::kLoss, tx_begin, p.src, src.tracer);
     return lk.busy_until;
   }
   if (corrupt > 0.0 && rng.bernoulli(corrupt)) {
-    lk.drops += 1;
     count_drop(DropReason::kCorrupt, tx_begin, p.src, src.tracer);
     return lk.busy_until;
   }

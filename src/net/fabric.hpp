@@ -248,7 +248,6 @@ class Fabric {
     sim::SimTime busy_until = 0;
     /// Partitioned runs only: this link's private noise stream.
     std::unique_ptr<sim::Rng> rng;
-    std::uint64_t drops = 0;
   };
 
   struct NodeCtx {

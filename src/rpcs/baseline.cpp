@@ -137,13 +137,8 @@ std::unique_ptr<BaselineClient> BaselineServer::connect_client(
   layout.payload_capacity = params_.max_payload;
   layout.base = server_.dram_alloc().alloc(layout.total_bytes(), 256);
 
-  auto conn = std::make_unique<Conn>(server_, layout);
-  conn->idx = conns_.size();
-  conn->client = &client_node;
-  conn->scq = std::make_unique<rnic::Cq>(server_.simulator());
-  conn->rcq = std::make_unique<rnic::Cq>(server_.simulator());
-  conn->arrivals =
-      std::make_unique<sim::Channel<std::uint64_t>>(server_.simulator());
+  auto conn =
+      std::make_unique<Conn>(server_, client_node, conns_.size(), layout);
   conn->stage_addr = server_.dram_alloc().alloc(params_.max_payload + 64, 64);
   conn->result_base = server_.dram_alloc().alloc(params_.max_payload + 64, 64);
   conn->warmup_base = server_.dram_alloc().alloc(64, 64);
@@ -152,11 +147,7 @@ std::unique_ptr<BaselineClient> BaselineServer::connect_client(
   server_.mem().declare_slots(conn->result_base, params_.max_payload + 64, 1);
 
   if (config_.detect == BaselineConfig::Detect::kRecv) {
-    conn->msg_slots = kRecvSlots;
-    conn->msg_base =
-        server_.dram_alloc().alloc(conn->msg_slots * layout.slot_bytes(), 256);
-    server_.mem().declare_slots(conn->msg_base, layout.slot_bytes(),
-                                conn->msg_slots);
+    conn->alloc_msg_ring(kRecvSlots);
   }
 
   auto client = std::unique_ptr<BaselineClient>(
@@ -164,7 +155,7 @@ std::unique_ptr<BaselineClient> BaselineServer::connect_client(
 
   conns_.push_back(std::move(conn));
   Conn& c = *conns_.back();
-  c.completer = std::make_unique<rdma::Completer>(server_.simulator(), *c.scq);
+  c.ep.renew_completer(server_.simulator());
   c.client_resp_base = client->resp_base_;
   c.client_warmup_ack = client->warmup_ack_addr_;
   c.client_staging = client->staging_base_;
@@ -173,15 +164,7 @@ std::unique_ptr<BaselineClient> BaselineServer::connect_client(
   // writable; the RFP result slot is client-readable; the client's
   // response ring, warm-up ack and (for ScaleRPC reads) staging are
   // accessible to the server.
-  server_.rnic().register_mr(layout.base, layout.total_bytes(),
-                             rnic::Access::kRemoteWrite |
-                                 rnic::Access::kRemoteFlush);
-  server_.rnic().register_mr(c.warmup_base, 64,
-                             static_cast<std::uint8_t>(
-                                 rnic::Access::kRemoteWrite));
-  server_.rnic().register_mr(c.result_base, params_.max_payload + 64,
-                             static_cast<std::uint8_t>(
-                                 rnic::Access::kRemoteRead));
+  register_regions(c);
   const std::uint64_t image_cap =
       LogLayout{0, kRingSlots, params_.max_payload}.slot_bytes();
   client_node.rnic().register_mr(
@@ -195,65 +178,41 @@ std::unique_ptr<BaselineClient> BaselineServer::connect_client(
                                  static_cast<std::uint8_t>(
                                      rnic::Access::kRemoteRead));
 
-  auto [client_qp, server_qp] = rdma::connect_pair(
-      client_node.rnic(), config_.req_transport, client->scq_, client->rcq_,
-      server_.rnic(), config_.req_transport, *c.scq, *c.rcq);
-  c.qp = server_qp;
-  c.session = std::make_unique<rdma::QpSession>(server_.rnic(), *server_qp,
-                                                *c.completer);
-  client->completer_ =
-      std::make_unique<rdma::Completer>(client_node.simulator(), client->scq_);
-  client->session_ = std::make_unique<rdma::QpSession>(
-      client_node.rnic(), *client_qp, *client->completer_);
-
-  if (config_.respond == BaselineConfig::Respond::kUdSend) {
-    auto [cud, sud] = rdma::connect_pair(
-        client_node.rnic(), rnic::Transport::kUD, client->scq_, client->rcq_,
-        server_.rnic(), rnic::Transport::kUD, *c.scq, *c.rcq);
-    c.ud_qp = sud;
-    c.ud_session = std::make_unique<rdma::QpSession>(server_.rnic(), *sud,
-                                                     *c.completer);
-    client->ud_qp_ = cud;
-    client->ud_session_ = std::make_unique<rdma::QpSession>(
-        client_node.rnic(), *cud, *client->completer_);
-  }
+  c.wire(client->ep_, config_.req_transport, ud_response());
   return client;
+}
+
+void BaselineServer::register_regions(const Conn& conn) {
+  const LogLayout& lay = conn.log.layout();
+  server_.rnic().register_mr(lay.base, lay.total_bytes(),
+                             rnic::Access::kRemoteWrite |
+                                 rnic::Access::kRemoteFlush);
+  server_.rnic().register_mr(conn.warmup_base, 64,
+                             static_cast<std::uint8_t>(
+                                 rnic::Access::kRemoteWrite));
+  server_.rnic().register_mr(conn.result_base, params_.max_payload + 64,
+                             static_cast<std::uint8_t>(
+                                 rnic::Access::kRemoteRead));
 }
 
 void BaselineServer::install_detection(Conn& conn) {
   switch (config_.detect) {
-    case BaselineConfig::Detect::kPoll: {
+    case BaselineConfig::Detect::kPoll:
       // Watch the request ring: each committed entry wakes the poller.
-      Conn* c = &conn;
-      const LogLayout& lay = c->ring.layout();
-      conn.ring_watch = server_.mem().add_watch(
-          lay.base + LogLayout::kHeaderBytes,
-          lay.total_bytes() - LogLayout::kHeaderBytes, [c] {
-            while (auto e = c->ring.peek(c->next_seq)) {
-              c->arrivals->send(c->next_seq);
-              ++c->next_seq;
-            }
-          });
+      conn.watch_ring();
       sim::spawn(conn_loop_poll(conn));
       break;
-    }
-    case BaselineConfig::Detect::kWriteImm: {
+    case BaselineConfig::Detect::kWriteImm:
       // Notification-only recv WQEs for write-imm.
       for (std::uint32_t i = 0; i < kRecvSlots; ++i) {
-        server_.rnic().post_recv(*conn.qp, 0, 0, i);
+        server_.rnic().post_recv(conn.ep.qp(), 0, 0, i);
       }
       sim::spawn(conn_loop_wc(conn));
       break;
-    }
-    case BaselineConfig::Detect::kRecv: {
-      const std::uint64_t slot_bytes = conn.ring.layout().slot_bytes();
-      for (std::uint32_t i = 0; i < conn.msg_slots; ++i) {
-        server_.rnic().post_recv(*conn.qp, conn.msg_base + i * slot_bytes,
-                                 slot_bytes, i);
-      }
+    case BaselineConfig::Detect::kRecv:
+      conn.post_msg_recvs();
       sim::spawn(conn_loop_wc(conn));
       break;
-    }
   }
   if (config_.warmup_every > 0) {
     sim::spawn(warmup_loop(conn));
@@ -272,18 +231,12 @@ void BaselineServer::on_crash() {
   running_ = false;
   ++epoch_;
   for (auto& conn : conns_) {
-    if (conn->ring_watch != 0) {
-      server_.mem().remove_watch(conn->ring_watch);
-      conn->ring_watch = 0;
-    }
     if (conn->warmup_watch != 0) {
       server_.mem().remove_watch(conn->warmup_watch);
       conn->warmup_watch = 0;
     }
-    conn->arrivals->reset();
     if (conn->warmup_ch) conn->warmup_ch->reset();
-    conn->scq->reset();
-    conn->rcq->reset();
+    conn->reset_on_crash();
   }
 }
 
@@ -292,10 +245,7 @@ sim::Task<> BaselineServer::recover_and_restart() {
   // was volatile DRAM and there is no redo log. Clients must re-send.
   assert(!running_ && server_.rnic().alive());
   running_ = true;
-  for (auto& conn : conns_) {
-    conn->completer =
-        std::make_unique<rdma::Completer>(server_.simulator(), *conn->scq);
-  }
+  for (auto& conn : conns_) conn->ep.renew_completer(server_.simulator());
   co_return;
 }
 
@@ -303,39 +253,9 @@ void BaselineServer::reconnect_client(core::RpcClient& rpc_client) {
   auto& client = dynamic_cast<BaselineClient&>(rpc_client);
   Conn& conn = *conns_.at(client.conn_idx_);
 
-  // Re-register the server-side regions lost with the NIC state.
-  const core::LogLayout& relay = conn.ring.layout();
-  server_.rnic().register_mr(relay.base, relay.total_bytes(),
-                             rnic::Access::kRemoteWrite |
-                                 rnic::Access::kRemoteFlush);
-  server_.rnic().register_mr(conn.warmup_base, 64,
-                             static_cast<std::uint8_t>(
-                                 rnic::Access::kRemoteWrite));
-  server_.rnic().register_mr(conn.result_base, params_.max_payload + 64,
-                             static_cast<std::uint8_t>(
-                                 rnic::Access::kRemoteRead));
-
-  auto [client_qp, server_qp] = rdma::connect_pair(
-      client.node_.rnic(), config_.req_transport, client.scq_, client.rcq_,
-      server_.rnic(), config_.req_transport, *conn.scq, *conn.rcq);
-  conn.qp = server_qp;
-  conn.session = std::make_unique<rdma::QpSession>(server_.rnic(), *server_qp,
-                                                   *conn.completer);
-  client.completer_ =
-      std::make_unique<rdma::Completer>(client.node_.simulator(), client.scq_);
-  client.session_ = std::make_unique<rdma::QpSession>(
-      client.node_.rnic(), *client_qp, *client.completer_);
-  if (config_.respond == BaselineConfig::Respond::kUdSend) {
-    auto [cud, sud] = rdma::connect_pair(
-        client.node_.rnic(), rnic::Transport::kUD, client.scq_, client.rcq_,
-        server_.rnic(), rnic::Transport::kUD, *conn.scq, *conn.rcq);
-    conn.ud_qp = sud;
-    conn.ud_session = std::make_unique<rdma::QpSession>(server_.rnic(), *sud,
-                                                        *conn.completer);
-    client.ud_qp_ = cud;
-    client.ud_session_ = std::make_unique<rdma::QpSession>(
-        client.node_.rnic(), *cud, *client.completer_);
-  }
+  // The crash wiped the NIC's protection table and the old QPs.
+  register_regions(conn);
+  conn.wire(client.ep_, config_.req_transport, ud_response());
   // The volatile ring restarted empty: resynchronise the expected
   // sequence with whatever the client will send next.
   conn.next_seq = client.next_seq_;
@@ -349,14 +269,14 @@ sim::Task<> BaselineServer::conn_loop_poll(Conn& conn) {
   const std::uint64_t epoch = epoch_;
   for (;;) {
     if (epoch != epoch_) break;  // zombie guard
-    auto seq = co_await conn.arrivals->recv();
+    auto seq = co_await conn.arrivals.recv();
     if (!seq.has_value() || epoch != epoch_) break;
     const std::uint64_t sw0 = host.charged_ns();
     const sim::SimTime crit_t0 = server_.simulator().now();
     co_await host.charge_poll();
     co_await host.exec(host.params().handler_cost);
     if (epoch != epoch_) break;
-    auto e = conn.ring.peek(*seq);
+    auto e = conn.log.peek(*seq);
     if (!e.has_value()) continue;
     co_await handle_and_respond(conn, *e);
     stats_.critical_sw_ns += host.charged_ns() - sw0;
@@ -369,11 +289,10 @@ sim::Task<> BaselineServer::conn_loop_poll(Conn& conn) {
 
 sim::Task<> BaselineServer::conn_loop_wc(Conn& conn) {
   auto& host = server_.host();
-  const std::uint64_t slot_bytes = conn.ring.layout().slot_bytes();
   const std::uint64_t epoch = epoch_;
   for (;;) {
     if (epoch != epoch_) break;  // zombie guard
-    auto wc = co_await conn.rcq->channel().recv();
+    auto wc = co_await conn.ep.rcq.channel().recv();
     if (!wc.has_value() || epoch != epoch_) break;
     if (wc->status != rnic::WcStatus::kSuccess) continue;
     const std::uint64_t sw0 = host.charged_ns();
@@ -384,11 +303,11 @@ sim::Task<> BaselineServer::conn_loop_wc(Conn& conn) {
     std::optional<LogEntryView> e;
     if (config_.detect == BaselineConfig::Detect::kWriteImm) {
       // Immediate carries the seq; the data sits in the ring slot.
-      server_.rnic().post_recv(*conn.qp, 0, 0, 0);  // recycle notify WQE
-      e = conn.ring.peek(wc->imm);
+      server_.rnic().post_recv(conn.ep.qp(), 0, 0, 0);  // recycle notify WQE
+      e = conn.log.peek(wc->imm);
     } else {
       e = core::decode_entry_at(server_.mem(), wc->local_addr,
-                                conn.ring.layout().payload_capacity);
+                                conn.log.layout().payload_capacity);
       if (e.has_value()) {
         // Copy semantics: process from the message buffer; recycle the
         // slot only after handling (serial per connection).
@@ -404,7 +323,7 @@ sim::Task<> BaselineServer::conn_loop_wc(Conn& conn) {
                       host.charged_ns() - sw0,
                       static_cast<std::uint16_t>(server_.id()));
     if (config_.detect == BaselineConfig::Detect::kRecv) {
-      server_.rnic().post_recv(*conn.qp, wc->local_addr, slot_bytes, 0);
+      conn.recycle_msg_slot(wc->local_addr);
     }
   }
 }
@@ -429,12 +348,13 @@ sim::Task<> BaselineServer::warmup_loop(Conn& conn) {
     if (!wseq.has_value()) break;
     co_await host.charge_poll();
     const std::uint64_t len = core::load_u64(server_.mem(), conn.warmup_base + 8);
-    const auto wc = co_await conn.session->read(conn.client_staging, len,
-                                                conn.stage_addr);
+    const auto wc = co_await conn.ep.session->read(conn.client_staging, len,
+                                                   conn.stage_addr);
     (void)wc;
     core::store_u64(server_.mem(), conn.stage_addr, *wseq);
     co_await host.exec(host.params().post_cost);
-    conn.session->post_write_nowait(conn.stage_addr, 8, conn.client_warmup_ack);
+    conn.ep.session->post_write_nowait(conn.stage_addr, 8,
+                                       conn.client_warmup_ack);
   }
 }
 
@@ -474,7 +394,7 @@ sim::Task<> BaselineServer::handle_and_respond(Conn& conn, LogEntryView e) {
   switch (config_.respond) {
     case BaselineConfig::Respond::kWrite:
       co_await host.exec(host.params().post_cost);
-      conn.session->post_write_nowait(
+      conn.ep.session->post_write_nowait(
           conn.stage_addr, resp_len + 8,
           conn.client_resp_base + e.resp_slot * (params_.max_payload + 16));
       break;
@@ -487,18 +407,18 @@ sim::Task<> BaselineServer::handle_and_respond(Conn& conn, LogEntryView e) {
     }
     case BaselineConfig::Respond::kWriteImm:
       co_await host.exec(host.params().post_cost);
-      conn.session->post_write_nowait(
+      conn.ep.session->post_write_nowait(
           conn.stage_addr, resp_len + 8,
           conn.client_resp_base + e.resp_slot * (params_.max_payload + 16),
           static_cast<std::uint32_t>(e.seq));
       break;
     case BaselineConfig::Respond::kUdSend:
       co_await host.exec(host.params().post_cost);
-      conn.ud_session->post_send_nowait(conn.stage_addr, resp_len + 8);
+      conn.ep.ud_session->post_send_nowait(conn.stage_addr, resp_len + 8);
       break;
     case BaselineConfig::Respond::kSend:
       co_await host.exec(host.params().post_cost);
-      conn.session->post_send_nowait(conn.stage_addr, resp_len + 8);
+      conn.ep.session->post_send_nowait(conn.stage_addr, resp_len + 8);
       break;
   }
 }
@@ -510,8 +430,7 @@ BaselineClient::BaselineClient(BaselineServer& server, core::Node& node,
     : server_(server),
       node_(node),
       conn_idx_(idx),
-      scq_(node.simulator()),
-      rcq_(node.simulator()) {
+      ep_(node.simulator()) {
   const auto& p = server.params_;
   const std::uint64_t image_cap =
       LogLayout{0, kRingSlots, p.max_payload}.slot_bytes();
@@ -530,15 +449,10 @@ std::string_view BaselineClient::name() const { return server_.config_.name; }
 
 void BaselineClient::abort_pending() {
   aborted_ = true;
-  // Wake response pollers parked on memory watches by touching the
-  // whole response ring (their predicates observe aborted_).
-  std::vector<std::byte> zeros(kRingSlots * (server_.params_.max_payload + 16),
-                               std::byte{0});
-  node_.mem().cpu_write(resp_base_, zeros);
-  core::store_u64(node_.mem(), warmup_ack_addr_, 0);
-  // Wake verbs/recv waiters.
-  scq_.reset();
-  rcq_.reset();
+  // Response and warm-up-ack pollers, then verbs and recv waiters.
+  ep_.abort(node_.mem(),
+            {{resp_base_, kRingSlots * (server_.params_.max_payload + 16)},
+             {warmup_ack_addr_, 8}});
 }
 
 sim::Task<RpcResult> BaselineClient::call(const RpcRequest& req) {
@@ -571,7 +485,7 @@ sim::Task<> BaselineClient::maybe_warmup(std::uint64_t image_len) {
   const std::uint64_t scratch = warmup_ack_addr_ + 16;
   node_.mem().cpu_write(scratch, w.view());
   co_await node_.host().charge_post();
-  session_->post_write_nowait(scratch, 24, conn.warmup_base);
+  ep_.session->post_write_nowait(scratch, 24, conn.warmup_base);
   co_await core::poll_until(node_, warmup_ack_addr_, 8, [this, wseq] {
     return aborted_ ||
            core::load_u64(node_.mem(), warmup_ack_addr_) == wseq;
@@ -600,8 +514,8 @@ sim::Task<bool> BaselineClient::await_response(std::uint64_t seq,
       // RFP: poll the server-side result slot with repeated RDMA reads.
       for (;;) {
         if (aborted_) co_return false;
-        const auto wc = co_await session_->read(conn.result_base,
-                                                resp_len + 8, resp_slot_addr);
+        const auto wc = co_await ep_.session->read(
+            conn.result_base, resp_len + 8, resp_slot_addr);
         if (!wc.has_value() || wc->status != rnic::WcStatus::kSuccess) {
           co_return false;
         }
@@ -614,9 +528,9 @@ sim::Task<bool> BaselineClient::await_response(std::uint64_t seq,
     }
     case BaselineConfig::Respond::kWriteImm: {
       for (;;) {
-        auto wc = co_await rcq_.channel().recv();
+        auto wc = co_await ep_.rcq.channel().recv();
         if (!wc.has_value()) co_return false;
-        node_.rnic().post_recv(session_->qp(), 0, 0, 0);
+        node_.rnic().post_recv(ep_.qp(), 0, 0, 0);
         if (wc->has_imm && wc->imm == static_cast<std::uint32_t>(seq)) {
           co_await node_.host().charge_poll();
           co_return true;
@@ -625,15 +539,16 @@ sim::Task<bool> BaselineClient::await_response(std::uint64_t seq,
     }
     case BaselineConfig::Respond::kUdSend:
     case BaselineConfig::Respond::kSend: {
-      auto wc = co_await rcq_.channel().recv();
+      auto wc = co_await ep_.rcq.channel().recv();
       if (!wc.has_value()) co_return false;
       co_await node_.host().charge_recv_handler();
       // Serial client: the next recv on this connection IS the reply.
       const std::uint64_t slot_bytes =
           server_.params_.max_payload + 16;
       node_.rnic().post_recv(
-          cfg.respond == BaselineConfig::Respond::kUdSend ? *ud_qp_
-                                                          : session_->qp(),
+          cfg.respond == BaselineConfig::Respond::kUdSend
+              ? ep_.ud_session->qp()
+              : ep_.qp(),
           wc->local_addr, slot_bytes, 0);
       co_return true;
     }
@@ -657,16 +572,16 @@ sim::Task<RpcResult> BaselineClient::do_call(RpcOp op, std::uint64_t obj_id,
     if (cfg.respond == BaselineConfig::Respond::kSend) {
       for (int i = 0; i < 4; ++i) {
         const std::uint64_t buf = node_.dram_alloc().alloc(slot_bytes, 64);
-        node_.rnic().post_recv(session_->qp(), buf, slot_bytes, 0);
+        node_.rnic().post_recv(ep_.qp(), buf, slot_bytes, 0);
       }
     } else if (cfg.respond == BaselineConfig::Respond::kUdSend) {
       for (int i = 0; i < 4; ++i) {
         const std::uint64_t buf = node_.dram_alloc().alloc(slot_bytes, 64);
-        node_.rnic().post_recv(*ud_qp_, buf, slot_bytes, 0);
+        node_.rnic().post_recv(ep_.ud_session->qp(), buf, slot_bytes, 0);
       }
     } else if (cfg.respond == BaselineConfig::Respond::kWriteImm) {
       for (int i = 0; i < 4; ++i) {
-        node_.rnic().post_recv(session_->qp(), 0, 0, 0);
+        node_.rnic().post_recv(ep_.qp(), 0, 0, 0);
       }
     }
   }
@@ -702,22 +617,22 @@ sim::Task<RpcResult> BaselineClient::do_call(RpcOp op, std::uint64_t obj_id,
       resp_base_ + resp_slot * (server_.params_.max_payload + 16);
   core::store_u64(node_.mem(), resp_slot_addr + resp_len, 0);
 
-  const LogLayout& lay = conn.ring.layout();
+  const LogLayout& lay = conn.log.layout();
   switch (cfg.detect) {
     case BaselineConfig::Detect::kPoll:
-      session_->post_write_nowait(stage, image.size(), lay.slot_addr(seq));
+      ep_.session->post_write_nowait(stage, image.size(), lay.slot_addr(seq));
       if (cfg.extra_posts > 0) {
         // L5's separate valid-flag write (rewrites the commit word).
-        session_->post_write_nowait(stage + image.size() - 8, 8,
+        ep_.session->post_write_nowait(stage + image.size() - 8, 8,
                                     lay.slot_addr(seq) + image.size() - 8);
       }
       break;
     case BaselineConfig::Detect::kWriteImm:
-      session_->post_write_nowait(stage, image.size(), lay.slot_addr(seq),
+      ep_.session->post_write_nowait(stage, image.size(), lay.slot_addr(seq),
                                   static_cast<std::uint32_t>(seq));
       break;
     case BaselineConfig::Detect::kRecv:
-      session_->post_send_nowait(stage, image.size());
+      ep_.session->post_send_nowait(stage, image.size());
       break;
   }
 
@@ -726,7 +641,7 @@ sim::Task<RpcResult> BaselineClient::do_call(RpcOp op, std::uint64_t obj_id,
       cfg.detect != BaselineConfig::Detect::kRecv) {
     // §4.4.1: the WFlush ACK makes remote persistence visible before
     // the RPC response arrives.
-    const auto fwc = co_await session_->wflush(lay.slot_addr(seq),
+    const auto fwc = co_await ep_.session->wflush(lay.slot_addr(seq),
                                                image.size());
     if (fwc.has_value() && fwc->status == rnic::WcStatus::kSuccess) {
       durable_at = sim.now();

@@ -5,13 +5,11 @@
 #include <string_view>
 #include <vector>
 
+#include "core/connection.hpp"
 #include "core/node.hpp"
 #include "core/object_store.hpp"
 #include "core/params.hpp"
-#include "core/redo_log.hpp"
 #include "core/rpc.hpp"
-#include "rdma/completer.hpp"
-#include "rdma/session.hpp"
 #include "sim/sync.hpp"
 
 namespace prdma::rpcs {
@@ -104,12 +102,7 @@ class BaselineClient : public core::RpcClient {
   core::Node& node_;
   std::size_t conn_idx_;
 
-  rnic::Cq scq_;
-  rnic::Cq rcq_;
-  std::unique_ptr<rdma::Completer> completer_;
-  std::unique_ptr<rdma::QpSession> session_;     // request channel
-  std::unique_ptr<rdma::QpSession> ud_session_;  // Herd response channel
-  rnic::Qp* ud_qp_ = nullptr;
+  core::Endpoint ep_;
 
   std::uint64_t next_seq_ = 1;
   std::uint64_t ops_since_warmup_ = 0;
@@ -149,41 +142,28 @@ class BaselineServer : public core::RpcServer {
  private:
   friend class BaselineClient;
 
-  struct Conn {
-    std::size_t idx = 0;
-    core::Node* client = nullptr;
-    rnic::Qp* qp = nullptr;         // request channel endpoint
-    rnic::Qp* ud_qp = nullptr;      // Herd response endpoint
-    std::unique_ptr<rnic::Cq> scq;
-    std::unique_ptr<rnic::Cq> rcq;
-    std::unique_ptr<rdma::Completer> completer;
-    std::unique_ptr<rdma::QpSession> session;
-    std::unique_ptr<rdma::QpSession> ud_session;
-    core::RedoLog ring;             // request ring view (DRAM)
-    std::uint64_t next_seq = 1;
-    std::unique_ptr<sim::Channel<std::uint64_t>> arrivals;
-    std::uint64_t msg_base = 0;     // recv buffers (send-based detect)
-    std::uint32_t msg_slots = 0;
+  /// A connection whose request ring (`log`) is volatile DRAM.
+  struct Conn : core::Connection {
+    using core::Connection::Connection;
     std::uint64_t result_base = 0;  // server-side result slots (RFP)
-    std::uint64_t stage_addr = 0;   // response staging
     std::uint64_t warmup_base = 0;  // ScaleRPC announcement slot
     std::uint64_t warmup_seen = 0;
     std::unique_ptr<sim::Channel<std::uint64_t>> warmup_ch;
-    mem::NodeMemory::WatchId ring_watch = 0;
     mem::NodeMemory::WatchId warmup_watch = 0;
     // client-side addresses
     std::uint64_t client_resp_base = 0;
     std::uint64_t client_warmup_ack = 0;
     std::uint64_t client_staging = 0;
-
-    Conn(core::Node& server_node, core::LogLayout layout)
-        : ring(server_node, layout) {}
   };
 
   sim::Task<> conn_loop_poll(Conn& conn);
   sim::Task<> conn_loop_wc(Conn& conn);
   sim::Task<> warmup_loop(Conn& conn);
   sim::Task<> handle_and_respond(Conn& conn, core::LogEntryView e);
+  void register_regions(const Conn& conn);
+  [[nodiscard]] bool ud_response() const {
+    return config_.respond == BaselineConfig::Respond::kUdSend;
+  }
 
   core::Cluster& cluster_;
   core::Node& server_;

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/durable_rpc.hpp"
@@ -516,16 +517,12 @@ TEST(SmartNicDurable, WRFlushRunsWithNicIssuedNotifications) {
 namespace prdma::core {
 namespace {
 
-TEST(MrEnforcedRecovery, CrashRecoveryReRegistersRegions) {
-  // The crash wipes the NIC's protection table; recovery + reconnect
-  // must re-register everything or post-restart traffic gets NAKed.
-  ModelParams p;
-  p.memory.pm_capacity = 64ull << 20;
-  p.max_payload = 1024;
-  p.object_count = 64;
-  p.rnic.enforce_mr = true;
+/// Five writes, a server crash and restart, five more writes: returns
+/// how many writes succeeded before and after the restart.
+std::pair<int, int> writes_around_restart(FlushVariant v,
+                                          const ModelParams& p) {
   Cluster cluster(p, 2);
-  DurableRpcServer server(cluster, 0, FlushVariant::kWFlush, p);
+  DurableRpcServer server(cluster, 0, v, p);
   auto client = server.connect_client(1);
   server.start();
 
@@ -550,8 +547,36 @@ TEST(MrEnforcedRecovery, CrashRecoveryReRegistersRegions) {
     }
   }(cluster, server, *client, before, after));
   cluster.sim().run();
+  return {before, after};
+}
+
+ModelParams restart_params() {
+  ModelParams p;
+  p.memory.pm_capacity = 64ull << 20;
+  p.max_payload = 1024;
+  p.object_count = 64;
+  return p;
+}
+
+TEST(MrEnforcedRecovery, CrashRecoveryReRegistersRegions) {
+  // The crash wipes the NIC's protection table; recovery + reconnect
+  // must re-register everything or post-restart traffic gets NAKed.
+  ModelParams p = restart_params();
+  p.rnic.enforce_mr = true;
+  const auto [before, after] = writes_around_restart(FlushVariant::kWFlush, p);
   EXPECT_EQ(before, 5);
   EXPECT_EQ(after, 5) << "post-restart writes must not be NAKed";
+}
+
+TEST(SmartNicRecovery, ReconnectReinstallsAutoPersist) {
+  // §4.5: the smartNIC's auto-persist table is NIC-volatile and keyed
+  // by the QP; without it no post-restart write is ever acknowledged.
+  ModelParams p = restart_params();
+  p.rnic.smartnic_rflush = true;
+  const auto [before, after] =
+      writes_around_restart(FlushVariant::kWRFlush, p);
+  EXPECT_EQ(before, 5);
+  EXPECT_EQ(after, 5) << "post-restart writes must be persisted by the NIC";
 }
 
 }  // namespace

@@ -420,10 +420,56 @@ TEST_P(TraditionalCrash, ResendsEverythingReplaysNothing) {
 
 INSTANTIATE_TEST_SUITE_P(Crash, TraditionalCrash,
                          ::testing::Values(System::kFaRM, System::kL5,
-                                           System::kDaRPC),
+                                           System::kDaRPC, System::kRFP,
+                                           System::kScaleRPC,
+                                           System::kOctopus, System::kLITE,
+                                           System::kHerd, System::kFaSST),
                          [](const auto& info) {
                            return std::string(name_of(info.param));
                          });
+
+TEST(TraditionalRecovery, StaleCompletionCannotCompleteAPostAfterReconnect) {
+  // RFP polls the server's result slot with RDMA reads. The server dies
+  // with one of those reads in flight; during the outage the client's
+  // old QP exhausts its retry budget and delivers a retry-exceeded
+  // completion for that read. It belongs to the dead endpoint: no read
+  // posted after the reconnect may complete with it.
+  ModelParams p = small_params();
+  p.rpc_processing = 20_us;  // each call polls the result slot a few times
+  p.rnic.retransmit_interval = 10_us;
+  p.rnic.retransmit_backoff = 1.0;
+  p.rnic.max_retransmits = 2;
+  auto d = deploy(System::kRFP, p);
+  core::RpcServer& server = *d.dep.server;
+  core::RpcClient& client = *d.dep.clients[0];
+
+  RpcResult interrupted;
+  int after = 0;
+  sim::spawn([](core::RpcClient& cli, RpcResult& out) -> Task<> {
+    out = co_await cli.call(RpcRequest{RpcOp::kWrite, 1, 256});
+  }(client, interrupted));
+  sim::spawn([](Cluster& c, core::RpcServer& srv, core::RpcClient& cli,
+                int& ok) -> Task<> {
+    co_await sim::delay(c.sim(), 8_us);  // a result-slot read is in flight
+    srv.on_crash();
+    c.node(0).crash();
+    cli.abort_pending();
+    co_await sim::delay(c.sim(), 2 * sim::kMillisecond);  // retries run out
+    c.node(0).restart();
+    co_await srv.recover_and_restart();
+    srv.reconnect_client(cli);
+    for (int i = 0; i < 8; ++i) {
+      const auto res = co_await cli.call(
+          RpcRequest{i % 2 == 0 ? RpcOp::kWrite : RpcOp::kRead, 2, 256});
+      if (res.ok) ++ok;
+    }
+  }(*d.cluster, server, client, after));
+  d.cluster->sim().run();
+
+  EXPECT_FALSE(interrupted.ok) << "the call the crash cut short must fail";
+  EXPECT_EQ(after, 8)
+      << "a completion from the pre-crash QP failed a post-reconnect read";
+}
 
 class DurableCrash : public ::testing::TestWithParam<System> {};
 
